@@ -49,7 +49,7 @@ timeIt(Fn &&fn)
 /**
  * LPT greedy makespan: longest unit first, each onto the least
  * loaded worker. Within 4/3 of optimal, and exactly the bound a
- * work-stealing schedule converges toward when units are plentiful.
+ * greedy list schedule converges toward when units are plentiful.
  */
 double
 lptMakespan(std::vector<double> times, unsigned workers)

@@ -42,8 +42,11 @@
  * --trace never perturbs the report (spans observe wall-clock only).
  */
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <limits>
 #include <optional>
 #include <string>
@@ -169,6 +172,28 @@ parseFlag(const std::string &arg, Options &opt)
     return false;
 }
 
+/**
+ * Fail fast on an output path the run could not write at the end:
+ * open it for appending (which never truncates), and remove it again
+ * if the probe created it. False with a one-line message otherwise.
+ */
+bool
+probeWritable(const std::string &path)
+{
+    std::error_code ec;
+    const bool existed = std::filesystem::exists(path, ec);
+    std::FILE *f = std::fopen(path.c_str(), "a");
+    if (!f) {
+        std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
+                     std::strerror(errno));
+        return false;
+    }
+    std::fclose(f);
+    if (!existed)
+        std::remove(path.c_str());
+    return true;
+}
+
 /** The registered grids with their one-line descriptions. */
 void
 printGrids(std::FILE *out)
@@ -254,6 +279,14 @@ main(int argc, char **argv)
     if (opt.trace_buffer != 0 && opt.trace_path.empty()) {
         std::fprintf(stderr, "--trace-buffer needs --trace\n");
         return usage(argv[0]);
+    }
+
+    // Every output is written only after the whole grid has run, so
+    // check the paths first rather than lose the run to a typo.
+    for (const std::string *path :
+         {&opt.report_path, &opt.profile_path, &opt.trace_path}) {
+        if (!path->empty() && !probeWritable(*path))
+            return 1;
     }
 
     // The session spans the whole run and writes its file when it goes
@@ -358,8 +391,8 @@ main(int argc, char **argv)
 
     // Determinism contract: merged stats are bit-identical to the
     // serial run because each cell's randomness depends only on
-    // (campaign seed, grid index) and the merge is by index -- with
-    // or without work stealing.
+    // (campaign seed, grid index) and the merge is by index, whichever
+    // worker ran the cell.
     runtime::SweepOptions serial = fast;
     serial.threads = 1;
     serial.verbose = false;

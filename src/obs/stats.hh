@@ -58,31 +58,17 @@ enum class Stat : unsigned
     PolicyHooks,
     DetectorEpochs,  ///< CounterBus samples published.
     /**
-     * Scheduling counters (CellsStolen through TasksStolen) are
-     * bumped by the work-stealing fabric and the campaign executor
-     * *between* schedulable units, outside every per-unit snapshot
-     * window, so per-cell deltas report them as 0 at any thread count
-     * and the threads=N == threads=1 contract holds. Their totals
-     * depend on scheduling and are surfaced through
-     * CampaignStats/FabricStatus instead.
+     * Campaign (cell, task) units executed (a monolithic cell counts
+     * as one task). The campaign executor bumps it *between* units,
+     * outside every per-unit snapshot window, so per-cell deltas
+     * report 0 at any thread count and the threads=N == threads=1
+     * contract holds; the run's total is CampaignStats::tasksRun.
      */
-    CellsStolen,     ///< Fabric units taken from another worker.
-    StealAttempts,   ///< StealFabric probes of foreign queues.
-    /**
-     * Task counters: a campaign's schedulable unit is one (cell,
-     * task) pair under the sub-cell decomposition contract, so
-     * TasksExecuted counts every unit run (monolithic cells count as
-     * one task) and TasksStolen the units that ran on a worker other
-     * than their seeded one. TasksStolen totals match CellsStolen for
-     * campaign runs (the fabric's unit *is* the task); they diverge
-     * only for direct StealFabric users, which bump CellsStolen only.
-     */
-    TasksExecuted,   ///< Campaign (cell, task) units executed.
-    TasksStolen,     ///< Campaign units run on a stealing worker.
+    TasksExecuted,
 };
 
 /** Number of Stat enumerators. */
-constexpr std::size_t kStatCount = 11;
+constexpr std::size_t kStatCount = 8;
 
 /** Stable snake_case name of @p s ("sim_events", ...). */
 const char *statName(Stat s);

@@ -87,7 +87,19 @@ struct TraceBuffer
     }
 };
 
-extern thread_local TraceBuffer *tlsTrace;
+/**
+ * The calling thread's buffer, nullptr while detached. Like
+ * obs::Stat's block it lives inside an inline function rather than as
+ * an extern thread_local: constant-initialized, the local compiles to
+ * a plain TLS access with no cross-TU init-wrapper call (and no
+ * wrapper for UBSan to trip over).
+ */
+inline TraceBuffer *&
+tlsTrace()
+{
+    static thread_local TraceBuffer *buffer = nullptr;
+    return buffer;
+}
 
 } // namespace detail
 
@@ -95,7 +107,7 @@ extern thread_local TraceBuffer *tlsTrace;
 inline bool
 tracing()
 {
-    return detail::tlsTrace != nullptr;
+    return detail::tlsTrace() != nullptr;
 }
 
 /**
@@ -196,7 +208,7 @@ class ScopedSpan
     /** @p name and @p cat must have static storage duration. */
     explicit ScopedSpan(const char *name, const char *cat = "sim")
     {
-        if (detail::TraceBuffer *b = detail::tlsTrace) {
+        if (detail::TraceBuffer *b = detail::tlsTrace()) {
             buf_ = b;
             name_ = name;
             cat_ = cat;
@@ -208,7 +220,7 @@ class ScopedSpan
      *  only when a session is attached. */
     ScopedSpan(const std::string &name, const char *cat)
     {
-        if (detail::TraceBuffer *b = detail::tlsTrace) {
+        if (detail::TraceBuffer *b = detail::tlsTrace()) {
             buf_ = b;
             dynName_ = name;
             cat_ = cat;
@@ -224,7 +236,7 @@ class ScopedSpan
      */
     explicit ScopedSpan(const ProfilePhase &phase)
     {
-        if (detail::TraceBuffer *b = detail::tlsTrace) {
+        if (detail::TraceBuffer *b = detail::tlsTrace()) {
             buf_ = b;
             name_ = phase.name();
             cat_ = phase.cat();
@@ -241,7 +253,7 @@ class ScopedSpan
      *  the phase (per-cell split comes from the campaign drain). */
     ScopedSpan(const std::string &name, const ProfilePhase &phase)
     {
-        if (detail::TraceBuffer *b = detail::tlsTrace) {
+        if (detail::TraceBuffer *b = detail::tlsTrace()) {
             buf_ = b;
             dynName_ = name;
             cat_ = phase.cat();
@@ -284,7 +296,7 @@ class ScopedSpan
 inline void
 instant(const char *name, const char *cat = "sim")
 {
-    if (detail::TraceBuffer *b = detail::tlsTrace) {
+    if (detail::TraceBuffer *b = detail::tlsTrace()) {
         detail::TraceEvent e;
         e.name = name;
         e.cat = cat;

@@ -1,13 +1,15 @@
 #include "campaign.hh"
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 
 #include "obs/stats.hh"
 #include "obs/trace.hh"
-#include "runtime/spsc_ring.hh"
 #include "sim/logging.hh"
 
 namespace pktchase::runtime
@@ -17,10 +19,18 @@ unsigned
 defaultThreads()
 {
     if (const char *env = std::getenv("PKTCHASE_THREADS")) {
-        const long n = std::strtol(env, nullptr, 10);
-        if (n >= 1)
-            return static_cast<unsigned>(n);
-        warn("ignoring invalid PKTCHASE_THREADS value");
+        // Digits only: strtol would accept "2abc" as 2, and a value
+        // past unsigned range would wrap.
+        constexpr unsigned long kMaxThreads = 1024;
+        const std::string s = env;
+        if (!s.empty() && s.size() <= 4 &&
+            s.find_first_not_of("0123456789") == std::string::npos) {
+            const unsigned long n = std::stoul(s);
+            if (n >= 1 && n <= kMaxThreads)
+                return static_cast<unsigned>(n);
+        }
+        warn("ignoring invalid PKTCHASE_THREADS value \"" + s +
+             "\" (want 1.." + std::to_string(kMaxThreads) + ")");
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 4 ? hw : 4;
@@ -55,18 +65,26 @@ Campaign::run(const std::vector<Scenario> &grid,
 
     // The schedulable unit is one (cell, task) pair: monolithic cells
     // contribute one unit, decomposed cells Scenario::tasks units.
-    // Units are flattened in (cell, task) order so the fabric's
-    // round-robin pre-fill spreads a heavy cell's tasks across
-    // workers from the start.
+    // Every unit exists before the first worker starts and none is
+    // added later, so one shared cursor over the list in (cell, task)
+    // order is the whole scheduler: there is nothing to steal, and a
+    // worker idles only once the cursor has passed the last unit.
+    // Each cell gets a preallocated parts slot per task and a
+    // countdown of its unfinished tasks.
     struct TaskUnit
     {
         std::size_t slot; ///< Position in subset / results.
         std::size_t task; ///< Task index within the cell.
     };
     std::vector<TaskUnit> units;
+    std::vector<std::vector<ScenarioResult>> parts(subset.size());
+    const auto remaining =
+        std::make_unique<std::atomic<std::size_t>[]>(subset.size());
     for (std::size_t k = 0; k < subset.size(); ++k) {
         const Scenario &sc = grid[subset[k]];
         validateScenario(sc);
+        parts[k].resize(sc.taskCount());
+        remaining[k] = sc.taskCount();
         for (std::size_t t = 0; t < sc.taskCount(); ++t)
             units.push_back({k, t});
     }
@@ -92,16 +110,18 @@ Campaign::run(const std::vector<Scenario> &grid,
         const Scenario &sc = grid[index];
         // Profile windows bracket the unit exactly like the counter
         // snapshot: discard whatever accumulated since the thread's
-        // last unit (scheduling, ring backoff), run, then drain this
-        // unit's stats into the result. Units run start-to-finish on
-        // one thread, so the drained window is exactly this task's
-        // spans regardless of which worker ran it.
+        // last unit (the previous cell's fold, callbacks), run, then
+        // drain this unit's stats into the result. Units run
+        // start-to-finish on one thread, so the drained window is
+        // exactly this task's spans regardless of which worker ran it.
         const bool prof = obs::profiling();
         if (prof)
             obs::drainProfile();
         const obs::StatSnapshot before = obs::snapshot();
         ScenarioResult r;
         if (sc.decomposed()) {
+            // The phase keeps its historical name: committed profile
+            // baselines and the repo benchmark key on it.
             static const obs::ProfilePhase kTaskPhase{"fabric.task",
                                                       "fabric.task"};
             const obs::ScopedSpan span(
@@ -118,145 +138,53 @@ Campaign::run(const std::vector<Scenario> &grid,
         return r;
     };
 
-    // Fold a cell's ordered parts into results[slot]. Driver-side (or
-    // serial): fold is pure, so where it runs cannot matter -- keeping
-    // it off the workers means a cell's fold never competes with
-    // another cell's simulation for the worker's cache.
-    auto finishCell = [&](std::size_t slot,
-                          std::vector<ScenarioResult> &&parts) {
-        results[slot] = foldScenarioParts(grid[subset[slot]],
-                                          subset[slot],
-                                          std::move(parts));
-        if (cfg_.onResult)
-            cfg_.onResult(results[slot]);
+    std::atomic<std::size_t> cursor{0};
+    std::mutex callbackMutex;
+    std::size_t unitsDone = 0; // Guarded by callbackMutex.
+
+    // The worker loop, shared by every thread (and run inline on the
+    // calling thread when threads == 1). The countdown's atomic
+    // decrement orders every sibling task's parts write before the
+    // fold; fold is pure, so which worker runs it cannot change the
+    // result. TasksExecuted lands between snapshot windows, so
+    // per-task counter deltas never see it.
+    auto work = [&] {
+        for (std::size_t u = cursor++; u < units.size(); u = cursor++) {
+            const std::size_t slot = units[u].slot;
+            parts[slot][units[u].task] = runUnit(slot, units[u].task);
+            obs::bump(obs::Stat::TasksExecuted);
+            const bool cellDone = --remaining[slot] == 0;
+            if (cellDone)
+                results[slot] = foldScenarioParts(
+                    grid[subset[slot]], subset[slot],
+                    std::move(parts[slot]));
+            const std::lock_guard<std::mutex> lock(callbackMutex);
+            ++unitsDone;
+            if (cfg_.onTick)
+                cfg_.onTick(unitsDone);
+            if (cellDone && cfg_.onResult)
+                cfg_.onResult(results[slot]);
+        }
     };
 
     if (threads <= 1) {
-        // Serial reference path: units in (cell, task) order, same
-        // per-unit seeding and snapshot windows as the parallel path,
-        // trivial merge. The scheduling bump lands between snapshot
-        // windows so per-task deltas stay scheduling-free.
-        for (std::size_t k = 0; k < subset.size(); ++k) {
-            const std::size_t count = grid[subset[k]].taskCount();
-            std::vector<ScenarioResult> parts;
-            parts.reserve(count);
-            for (std::size_t t = 0; t < count; ++t) {
-                parts.push_back(runUnit(k, t));
-                obs::bump(obs::Stat::TasksExecuted);
-            }
-            finishCell(k, std::move(parts));
-        }
-        stats_.scenariosRun = subset.size();
-        stats_.tasksRun = units.size();
-        stats_.wallSeconds = std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0).count();
-        return results;
-    }
-
-    // The work-stealing fabric schedules unit indices: unit u seeds
-    // worker u % N's queue (static-shard placement), and idle workers
-    // steal the tail of skewed grids instead of spinning. With every
-    // cell monolithic this degenerates to the old cell-granular
-    // schedule; a decomposed heavy cell's tasks spread across workers,
-    // which is what breaks the tail-cell makespan bound.
-    StealFabric fabric(units.size(), threads, cfg_.stealQueueCapacity);
-
-    // One SPSC result ring per worker carrying (slot, task, partial)
-    // envelopes: the worker is the only producer, this (driver)
-    // thread the only consumer.
-    struct TaskEnvelope
-    {
-        std::size_t slot = 0;
-        std::size_t task = 0;
-        ScenarioResult result;
-    };
-    std::vector<std::unique_ptr<SpscRing<TaskEnvelope>>> rings;
-    rings.reserve(threads);
-    for (unsigned w = 0; w < threads; ++w)
-        rings.push_back(std::make_unique<SpscRing<TaskEnvelope>>(
-            cfg_.ringCapacity));
-
-    // Per-worker stats shards, published by the join below.
-    std::vector<std::uint64_t> fullRetries(threads, 0);
-
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (unsigned w = 0; w < threads; ++w) {
-        workers.emplace_back([&, w] {
-            obs::attachWorkerThread(w);
-            std::size_t u = 0;
-            bool stolen = false;
-            while (fabric.next(w, u, stolen)) {
-                TaskEnvelope env;
-                env.slot = units[u].slot;
-                env.task = units[u].task;
-                env.result = runUnit(env.slot, env.task);
-                // Scheduling counters land between the per-unit
-                // snapshot windows, so per-task deltas report 0.
-                obs::bump(obs::Stat::TasksExecuted);
-                if (stolen)
-                    obs::bump(obs::Stat::TasksStolen);
-                while (!rings[w]->tryPush(std::move(env))) {
-                    // Ring full: the driver is behind. Back off; the
-                    // envelope stays intact because a failed tryPush
-                    // never moves from its argument.
-                    ++fullRetries[w];
-                    std::this_thread::yield();
-                }
-            }
-            obs::detachWorkerThread();
-        });
-    }
-
-    // Drain rings, accumulating each cell's parts by task index and
-    // folding as soon as its last task lands, until every cell has
-    // reported. Completion order is scheduling-dependent; the fold
-    // input order (task index) and the merge order (slot) are not.
-    struct CellAccum
-    {
-        std::vector<ScenarioResult> parts;
-        std::size_t remaining = 0;
-    };
-    std::vector<CellAccum> accum(subset.size());
-    for (std::size_t k = 0; k < subset.size(); ++k) {
-        accum[k].remaining = grid[subset[k]].taskCount();
-        accum[k].parts.resize(accum[k].remaining);
-    }
-
-    std::size_t collectedCells = 0;
-    while (collectedCells < subset.size()) {
-        bool progress = false;
+        work();
+    } else {
+        std::vector<std::thread> workers;
+        workers.reserve(threads);
         for (unsigned w = 0; w < threads; ++w) {
-            TaskEnvelope env;
-            while (rings[w]->tryPop(env)) {
-                CellAccum &a = accum[env.slot];
-                a.parts[env.task] = std::move(env.result);
-                if (--a.remaining == 0) {
-                    finishCell(env.slot, std::move(a.parts));
-                    ++collectedCells;
-                }
-                progress = true;
-            }
+            workers.emplace_back([&work, w] {
+                obs::attachWorkerThread(w);
+                work();
+                obs::detachWorkerThread();
+            });
         }
-        if (cfg_.onTick)
-            cfg_.onTick(fabric.status());
-        if (!progress) {
-            // Scenarios run for milliseconds to seconds; don't burn a
-            // core busy-polling empty rings while the workers (which
-            // may already cover every hardware thread) compute.
-            std::this_thread::sleep_for(std::chrono::microseconds(100));
-        }
+        for (std::thread &t : workers)
+            t.join();
     }
-
-    for (std::thread &t : workers)
-        t.join();
 
     stats_.scenariosRun = subset.size();
     stats_.tasksRun = units.size();
-    for (std::uint64_t retries : fullRetries)
-        stats_.ringFullRetries += retries;
-    stats_.tasksStolen = fabric.cellsStolen();
-    stats_.stealAttempts = fabric.stealAttempts();
     stats_.wallSeconds = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - t0).count();
     return results;

@@ -26,11 +26,12 @@
  *    index, t) -- never from the worker that ran it or from sibling
  *    tasks, so tasks can run on any thread in any order;
  *  - fold is a pure function of the ordered task results (no I/O, no
- *    simulation, no Rng), so folding on the driver thread after an
- *    arbitrary completion order reproduces the serial loop exactly;
+ *    simulation, no Rng), so folding on whichever worker finished the
+ *    cell's last task, after an arbitrary completion order, reproduces
+ *    the serial loop exactly;
  *  - therefore threads=N == threads=1 == runScenarioMonolithic()
- *    bit-identically, task stealing included -- the same contract
- *    cells already obey, pushed one level down.
+ *    bit-identically -- the same contract cells already obey, pushed
+ *    one level down.
  *
  * The default (tasks = 1, no runTask) changes nothing: a monolithic
  * run function is scheduled as a single task.

@@ -16,12 +16,12 @@ namespace
 {
 
 /**
- * Throttled "cells done/total" line on stderr, with the fabric's
- * per-worker queue depths and steal counters when the campaign runs
- * in parallel. Progress is cosmetic: it is driven from Campaign's
- * onResult/onTick hooks (driver thread only, so no locking) and never
- * touches the results, keeping the merged output bit-identical with
- * progress on or off.
+ * Throttled "cells done/total" line on stderr, with the finished-unit
+ * count when cells decompose into tasks. Progress is cosmetic: it is
+ * driven from Campaign's onResult/onTick hooks, which the campaign
+ * serializes under one mutex (so no locking here), and never touches
+ * the results, keeping the merged output bit-identical with progress
+ * on or off.
  */
 class ProgressMeter
 {
@@ -42,10 +42,9 @@ class ProgressMeter
     }
 
     void
-    onTick(const FabricStatus &status)
+    onTick(std::size_t unitsDone)
     {
-        fabric_ = status;
-        haveFabric_ = true;
+        unitsDone_ = unitsDone;
         maybePaint(false);
     }
 
@@ -71,30 +70,13 @@ class ProgressMeter
         std::string line = "\r  [" + std::to_string(done_) + "/" +
                            std::to_string(total_) + " cells, ";
         // Task depth: only worth a column when some cell decomposes
-        // into sub-cell tasks (taskTotal > cellTotal). Done-counts
-        // come from the fabric sample, so serial runs (no fabric)
-        // skip it too.
-        if (taskTotal_ > total_ && haveFabric_)
-            line += std::to_string(fabric_.cellsExecuted) + "/" +
+        // into sub-cell tasks (taskTotal > cellTotal).
+        if (taskTotal_ > total_)
+            line += std::to_string(unitsDone_) + "/" +
                     std::to_string(taskTotal_) + " tasks, ";
         char buf[48];
         std::snprintf(buf, sizeof(buf), "%.1f s", elapsed);
         line += buf;
-        if (haveFabric_) {
-            // "q 3/2/0/1+4" = per-worker queue depths, "+N" the
-            // injection-queue spill; steals as hits/attempts.
-            line += " | q ";
-            for (std::size_t w = 0; w < fabric_.queueDepth.size(); ++w) {
-                if (w)
-                    line += '/';
-                line += std::to_string(fabric_.queueDepth[w]);
-            }
-            if (fabric_.injectionDepth)
-                line += "+" + std::to_string(fabric_.injectionDepth);
-            line += " | steals " +
-                    std::to_string(fabric_.cellsStolen) + "/" +
-                    std::to_string(fabric_.stealAttempts);
-        }
         // Rich mode: the hottest phase by accumulated self time and
         // its share -- the profile's headline number, live.
         if (rich_) {
@@ -126,8 +108,7 @@ class ProgressMeter
     const bool rich_;
     obs::ProfileDelta profile_; ///< Rich mode: finished cells' sum.
     std::size_t done_ = 0;
-    FabricStatus fabric_;
-    bool haveFabric_ = false;
+    std::size_t unitsDone_ = 0;
     const std::chrono::steady_clock::time_point start_;
     std::chrono::steady_clock::time_point lastPaint_{};
     static constexpr std::chrono::milliseconds throttle_{200};
@@ -160,8 +141,8 @@ sweep(const std::vector<Scenario> &grid, const SweepOptions &opt)
         cfg.onResult = [&meter](const ScenarioResult &r) {
             meter->onCell(r);
         };
-        cfg.onTick = [&meter](const FabricStatus &status) {
-            meter->onTick(status);
+        cfg.onTick = [&meter](std::size_t unitsDone) {
+            meter->onTick(unitsDone);
         };
     }
 
@@ -174,13 +155,10 @@ sweep(const std::vector<Scenario> &grid, const SweepOptions &opt)
     if (opt.verbose) {
         const CampaignStats &s = campaign.stats();
         std::printf("  [campaign: %zu cells (%zu tasks) on %u threads, "
-                    "seed %llu, %.2f s, %llu stolen/%llu steal "
-                    "attempts]\n\n",
+                    "seed %llu, %.2f s]\n\n",
                     s.scenariosRun, s.tasksRun, s.threadsUsed,
                     static_cast<unsigned long long>(cfg.seed),
-                    s.wallSeconds,
-                    static_cast<unsigned long long>(s.tasksStolen),
-                    static_cast<unsigned long long>(s.stealAttempts));
+                    s.wallSeconds);
     }
     return results;
 }

@@ -1,5 +1,6 @@
 #include "json.hh"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -9,6 +10,14 @@ namespace pktchase::sim
 
 namespace
 {
+
+/**
+ * Deepest array/object nesting accepted. The parser recurses once per
+ * level, so without a cap a file of a few hundred thousand '['
+ * overflows the stack; the reports this parser reads nest about five
+ * levels.
+ */
+constexpr unsigned kMaxDepth = 256;
 
 class Parser
 {
@@ -88,6 +97,12 @@ class Parser
         JsonValue v;
         if (failed_)
             return v;
+        if ((c == '{' || c == '[') && depth_ == kMaxDepth) {
+            fail("nesting deeper than " + std::to_string(kMaxDepth) +
+                 " levels");
+            return v;
+        }
+        const DepthGuard guard(depth_);
         if (c == '{') {
             ++pos_;
             v.kind = JsonValue::Object;
@@ -129,15 +144,30 @@ class Parser
             v.kind = JsonValue::Number;
             char *end = nullptr;
             v.num = std::strtod(text_.c_str() + pos_, &end);
-            if (end == text_.c_str() + pos_)
+            if (end == text_.c_str() + pos_) {
                 fail("expected a number");
-            pos_ = static_cast<std::size_t>(end - text_.c_str());
+            } else if (!std::isfinite(v.num)) {
+                // strtod takes "inf", "nan" and overflows such as
+                // 1e999999 to infinity; none is a JSON number.
+                fail("non-finite number");
+            } else {
+                pos_ = static_cast<std::size_t>(end - text_.c_str());
+            }
         }
         return v;
     }
 
+    /** Counts one nesting level for the scope of a value() call. */
+    struct DepthGuard
+    {
+        explicit DepthGuard(unsigned &depth) : depth_(++depth) {}
+        ~DepthGuard() { --depth_; }
+        unsigned &depth_;
+    };
+
     const std::string &text_;
     std::size_t pos_ = 0;
+    unsigned depth_ = 0;
     bool failed_ = false;
     std::string err_;
 };

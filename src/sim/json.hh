@@ -11,7 +11,10 @@
  * consumer; tests/bench_report_test.cc uses it to validate BenchReport
  * emission. Errors are reported as a position-stamped message, never
  * by aborting, so callers (the merge CLI) can reject a malformed
- * shard file with a clear diagnostic instead of dying.
+ * shard file with a clear diagnostic instead of dying. Hostile input
+ * gets the same treatment: nesting deeper than 256 levels and
+ * non-finite numbers (inf, nan, 1e999999) are parse errors, never a
+ * stack overflow or a silent infinity.
  */
 
 #ifndef PKTCHASE_SIM_JSON_HH

@@ -337,6 +337,45 @@ TEST(ShardMerge, RejectsMissingFileAndEmptyInput)
     EXPECT_FALSE(err.empty());
 }
 
+TEST(ShardMerge, RejectsDeepNestingAndNonFiniteNumbers)
+{
+    const std::string dir = testing::TempDir();
+    const std::string out = dir + "/hostile_out.json";
+
+    // A recursive-descent parser without a depth cap overflows the
+    // stack on this; the merge must reject it with one line instead.
+    const std::string deep = dir + "/deep.json";
+    spit(deep, std::string(200000, '['));
+    std::string err = mergeShardReports({deep}, out);
+    EXPECT_NE(err.find("JSON parse error at byte 256: nesting deeper"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(err.find('\n'), std::string::npos) << err;
+
+    // strtod reads all of these as non-finite doubles.
+    for (const char *num : {"1e999999", "-1e999999", "inf", "nan"}) {
+        const std::string huge = dir + "/huge.json";
+        spit(huge, std::string("{\"grid\": [1, ") + num + "]}");
+        err = mergeShardReports({huge}, out);
+        EXPECT_NE(err.find("JSON parse error at byte 13: non-finite"),
+                  std::string::npos)
+            << num << ": " << err;
+        EXPECT_EQ(err.find('\n'), std::string::npos) << err;
+        std::remove(huge.c_str());
+    }
+
+    // Nesting up to the cap and finite extremes still parse.
+    sim::JsonValue v;
+    EXPECT_TRUE(sim::parseJson(std::string(256, '[') +
+                                   std::string(256, ']'),
+                               v, err))
+        << err;
+    EXPECT_TRUE(sim::parseJson("[1.7976931348623157e308, 1e-999999]",
+                               v, err))
+        << err;
+    std::remove(deep.c_str());
+}
+
 TEST(ShardCampaign, SubsetMisuseIsFatal)
 {
     CampaignConfig cfg;

@@ -1,14 +1,18 @@
 /**
  * @file
- * Tests for the campaign runtime: scenario seeding, the registry, and
- * the core determinism contract -- a Campaign run on 8 worker threads
- * merges to byte-identical stats as the same campaign on 1 thread.
+ * Tests for the campaign runtime: scenario seeding, the registry,
+ * PKTCHASE_THREADS parsing, and the core determinism contract -- a
+ * Campaign run on 4 or 8 worker threads merges to byte-identical stats
+ * as the same campaign on 1 thread. The skewed-grid and subset-run
+ * cases live in fabric_steal_stress_test.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,6 +53,57 @@ stochasticGrid(std::size_t cells)
     }
     return grid;
 }
+
+/**
+ * A skewed stochastic grid: cells whose index is a multiple of 5 draw
+ * 100x the randomness (so they run much longer), concentrating work
+ * the way the adaptive-partition cells do in the real grids.
+ */
+std::vector<Scenario>
+skewedGrid(std::size_t cells)
+{
+    std::vector<Scenario> grid;
+    for (std::size_t i = 0; i < cells; ++i) {
+        grid.push_back({"skew/" + std::to_string(i),
+            [i](ScenarioContext &ctx) {
+                const int draws = (i % 5 == 0) ? 100'000 : 1'000;
+                double acc = 0.0;
+                for (int k = 0; k < draws; ++k)
+                    acc += ctx.rng.nextDouble();
+                ScenarioResult r;
+                r.set("acc", acc);
+                return r;
+            }});
+    }
+    return grid;
+}
+
+/** Sets (or, for nullptr, unsets) PKTCHASE_THREADS for one scope,
+ *  restoring the old value. */
+class ScopedThreadsEnv
+{
+  public:
+    explicit ScopedThreadsEnv(const char *value)
+    {
+        if (const char *old = std::getenv("PKTCHASE_THREADS"))
+            old_ = old;
+        if (value)
+            setenv("PKTCHASE_THREADS", value, 1);
+        else
+            unsetenv("PKTCHASE_THREADS");
+    }
+
+    ~ScopedThreadsEnv()
+    {
+        if (old_)
+            setenv("PKTCHASE_THREADS", old_->c_str(), 1);
+        else
+            unsetenv("PKTCHASE_THREADS");
+    }
+
+  private:
+    std::optional<std::string> old_;
+};
 
 } // namespace
 
@@ -131,8 +186,8 @@ TEST(Campaign, ThreadsClampToGridSize)
 
 TEST(Campaign, EightThreadsMergeByteIdenticalToOne)
 {
-    // A grid much larger than the ring capacity, so workers wrap their
-    // rings and exercise backpressure while the driver merges.
+    // Many more cells than workers, so every worker runs several and
+    // folds land on all of them.
     const std::size_t kCells = 64;
     const std::uint64_t kSeed = 0xC0FFEE;
 
@@ -144,7 +199,6 @@ TEST(Campaign, EightThreadsMergeByteIdenticalToOne)
     CampaignConfig parallel;
     parallel.threads = 8;
     parallel.seed = kSeed;
-    parallel.ringCapacity = 4; // force ring wrap + full-ring retries
     std::atomic<std::size_t> callbacks{0};
     parallel.onResult = [&callbacks](const ScenarioResult &) {
         ++callbacks;
@@ -156,6 +210,42 @@ TEST(Campaign, EightThreadsMergeByteIdenticalToOne)
     EXPECT_EQ(callbacks.load(), kCells);
     ASSERT_EQ(out.size(), ref.size());
     EXPECT_EQ(formatReport(out), formatReport(ref));
+}
+
+/**
+ * onTick fires once per unit with the running count and onResult once
+ * per cell, all under one mutex: the plain (non-atomic) bookkeeping
+ * below is a data race for TSan if they ever overlap.
+ */
+TEST(Campaign, CallbacksAreSerializedPerUnitAndCell)
+{
+    const std::size_t kCells = 40;
+    std::vector<std::size_t> ticks;
+    std::size_t cells = 0;
+    bool inCallback = false;
+
+    CampaignConfig cfg;
+    cfg.threads = 4;
+    cfg.onTick = [&](std::size_t unitsDone) {
+        EXPECT_FALSE(inCallback);
+        inCallback = true;
+        ticks.push_back(unitsDone);
+        inCallback = false;
+    };
+    cfg.onResult = [&](const ScenarioResult &) {
+        EXPECT_FALSE(inCallback);
+        inCallback = true;
+        ++cells;
+        // A cell is reported after the tick of its last unit.
+        EXPECT_LE(cells, ticks.size());
+        inCallback = false;
+    };
+    Campaign(cfg).run(skewedGrid(kCells));
+
+    EXPECT_EQ(cells, kCells);
+    ASSERT_EQ(ticks.size(), kCells);
+    for (std::size_t k = 0; k < ticks.size(); ++k)
+        EXPECT_EQ(ticks[k], k + 1);
 }
 
 TEST(Campaign, DifferentSeedsDiffer)
@@ -199,4 +289,32 @@ TEST(Campaign, Fig14SweepFourThreadsDeterministic)
     // request counts match and throughput is comparable.
     for (const auto &r : out)
         EXPECT_GT(r.value("kreq_per_sec"), 0.0);
+}
+
+TEST(DefaultThreads, ParsesPktchaseThreadsStrictly)
+{
+    unsigned fallback = 0;
+    {
+        // The fallback when the variable is unset: max(4, hw).
+        ScopedThreadsEnv env(nullptr);
+        fallback = defaultThreads();
+    }
+    EXPECT_GE(fallback, 4u);
+
+    for (const char *good : {"1", "3", "1024"}) {
+        ScopedThreadsEnv env(good);
+        EXPECT_EQ(defaultThreads(), std::stoul(good)) << good;
+    }
+    // Trailing junk, signs, blanks, zero, and values past 1024 (one
+    // that would wrap an unsigned to 1 included) warn and fall back.
+    for (const char *bad : {"2abc", "4294967297", "1025", "0", "", "-3",
+                            "+2", " 2", "2 "}) {
+        ScopedThreadsEnv env(bad);
+        testing::internal::CaptureStderr();
+        const unsigned n = defaultThreads();
+        const std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(n, fallback) << '"' << bad << '"';
+        EXPECT_NE(err.find("PKTCHASE_THREADS"), std::string::npos)
+            << '"' << bad << '"';
+    }
 }

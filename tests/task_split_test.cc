@@ -248,10 +248,9 @@ TEST(TaskCampaign, PerCellCountersSumTaskDeltasAcrossThreadCounts)
         for (std::size_t t = 0; t < grid[i].taskCount(); ++t)
             frames += i + t;
         EXPECT_EQ(ref[i].counter("frames_delivered"), frames);
-        // Scheduling counters are bumped outside the per-unit
-        // snapshot windows, so cell deltas never see them.
+        // The scheduling counter is bumped outside the per-unit
+        // snapshot windows, so cell deltas never see it.
         EXPECT_EQ(ref[i].counter("tasks_executed"), 0u);
-        EXPECT_EQ(ref[i].counter("tasks_stolen"), 0u);
     }
 }
 

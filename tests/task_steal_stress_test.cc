@@ -1,16 +1,15 @@
 /**
  * @file
- * Steal-stress test for task-granular campaign scheduling, built to
- * run under ThreadSanitizer (CI's tsan job): a skewed decomposed grid
- * whose heavy tasks all seed one worker's queue, so the other workers
- * drain their own work and must steal. Asserts the three properties
- * stealing must never break:
+ * Skewed-grid stress test for the campaign's shared unit cursor,
+ * built to run under ThreadSanitizer (CI's tsan job): a decomposed
+ * grid whose every fourth task is ~400x heavier than the rest, so
+ * workers finish units at very different rates and race on the
+ * cursor, the per-cell countdowns and the fold. Over a fixed number
+ * of rounds it asserts the properties scheduling must never break:
  *
  *  - exactly-once execution of every (cell, task) unit;
- *  - steals actually happened (the skew makes them near-certain per
- *    round; rounds repeat until observed);
  *  - the merged report stays byte-identical to the serial run, and
- *    per-cell counter deltas match, stolen tasks included.
+ *    per-cell counter deltas match.
  */
 
 #include <array>
@@ -35,11 +34,9 @@ constexpr std::size_t kTasksPerCell = 8;
 constexpr unsigned kThreads = 4;
 
 /**
- * The skewed grid. Units are flattened in (cell, task) order and
- * seeded round-robin by unit index, so with kTasksPerCell a multiple
- * of kThreads, task t of any cell lands on worker t % kThreads --
- * making every task with t % kThreads == 0 heavy pins ALL the heavy
- * units to worker 0's queue, and workers 1..3 must steal to help.
+ * The skewed grid: every task with t % kThreads == 0 is heavy, so at
+ * any moment some workers are deep in a heavy unit while the others
+ * cycle through light ones.
  *
  * Each task bumps its slot of @p hits (exactly-once accounting) and
  * runs rng-salted simulated work, so the folded report and counters
@@ -88,7 +85,7 @@ skewedGrid(std::array<std::atomic<unsigned>,
     return grid;
 }
 
-TEST(TaskStealStress, ExactlyOnceByteIdenticalAndStealsObserved)
+TEST(TaskStealStress, SkewedGridExactlyOnceAndByteIdentical)
 {
     runtime::CampaignConfig serial_cfg;
     serial_cfg.threads = 1;
@@ -97,11 +94,9 @@ TEST(TaskStealStress, ExactlyOnceByteIdenticalAndStealsObserved)
     const auto ref = serial.run(skewedGrid(nullptr));
     const std::string ref_report = runtime::formatReport(ref);
     ASSERT_EQ(serial.stats().tasksRun, kCells * kTasksPerCell);
-    EXPECT_EQ(serial.stats().tasksStolen, 0u);
 
-    std::uint64_t steals = 0;
     std::array<std::atomic<unsigned>, kCells * kTasksPerCell> hits;
-    for (int round = 0; round < 10; ++round) {
+    for (int round = 0; round < 5; ++round) {
         for (auto &h : hits)
             h.store(0, std::memory_order_relaxed);
 
@@ -111,31 +106,22 @@ TEST(TaskStealStress, ExactlyOnceByteIdenticalAndStealsObserved)
         runtime::Campaign campaign(cfg);
         const auto results = campaign.run(skewedGrid(&hits));
 
-        // Exactly once: no unit ran twice or was dropped, stolen or
-        // not.
+        // Exactly once: no unit ran twice or was dropped.
         for (std::size_t u = 0; u < hits.size(); ++u)
             ASSERT_EQ(hits[u].load(std::memory_order_relaxed), 1u)
                 << "unit " << u << " round " << round;
         EXPECT_EQ(campaign.stats().tasksRun,
                   kCells * kTasksPerCell);
 
-        // Byte-identical merged report, whatever was stolen.
+        // Byte-identical merged report, whichever worker folded.
         EXPECT_EQ(ref_report, runtime::formatReport(results));
 
-        // Per-cell counter deltas survive stealing too.
+        // Per-cell counter deltas are thread-count-independent too.
         for (std::size_t i = 0; i < ref.size(); ++i) {
-            EXPECT_EQ(ref[i].counter("sim_events"),
-                      results[i].counter("sim_events"))
+            EXPECT_EQ(ref[i].counters, results[i].counters)
                 << ref[i].name;
         }
-
-        steals += campaign.stats().tasksStolen;
-        if (steals > 0 && round >= 2)
-            break; // three clean rounds with steals observed
     }
-    // The skew parks every heavy unit on worker 0; across the rounds
-    // the idle workers must have stolen at least once.
-    EXPECT_GT(steals, 0u);
 }
 
 } // namespace
