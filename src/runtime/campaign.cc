@@ -120,8 +120,8 @@ Campaign::run(const std::vector<Scenario> &grid,
         const obs::StatSnapshot before = obs::snapshot();
         ScenarioResult r;
         if (sc.decomposed()) {
-            // The phase keeps its historical name: committed profile
-            // baselines and the repo benchmark key on it.
+            // The phase keeps its historical name: CI's tail-unit
+            // check and the repo benchmark key on it.
             static const obs::ProfilePhase kTaskPhase{"fabric.task",
                                                       "fabric.task"};
             const obs::ScopedSpan span(

@@ -22,11 +22,10 @@
  *
  * Top-level scalars: the aggregate phase table -- the per-cell fields
  * summed (min/max folded), plus derived <phase>.total_sec/.self_sec,
- * <phase>.self_share (share of the report's total self time; what
- * tools/profile_diff.py gates) and <phase>.throughput_hz (spans per
- * inclusive second) -- followed by trace.dropped_events and, when a
- * trace session is live in this run, per-thread trace.dropped.t<tid>
- * counts (satellite of the bounded trace buffers).
+ * <phase>.self_share (share of the report's total self time) and
+ * <phase>.throughput_hz (spans per inclusive second) -- followed by
+ * trace.dropped_events and, when a trace session is live in this
+ * run, per-thread trace.dropped.t<tid> counts.
  *
  * Merge discipline: the aggregate table is a pure function of the
  * cell rows, recomputed by the same code on both the emit and merge

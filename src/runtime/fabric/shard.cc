@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "obs/manifest.hh"
 #include "runtime/fabric/profile_report.hh"
@@ -38,6 +40,28 @@ parseHexU64(const std::string &text, std::uint64_t &out)
     char *end = nullptr;
     out = std::strtoull(text.c_str() + 2, &end, 16);
     return errno == 0 && end && *end == '\0';
+}
+
+/**
+ * Read a JSON number that stands for an integer. Only a finite,
+ * non-negative, integral value below @p limit (at most 2^53, past
+ * which doubles skip integers) is accepted, so the cast is exact.
+ */
+bool
+readJsonInteger(const sim::JsonValue &v, const std::string &what,
+                std::uint64_t &out, std::string &err,
+                std::uint64_t limit = 1ull << 53)
+{
+    const double limitD = static_cast<double>(limit);
+    if (!(v.num >= 0 && v.num < limitD) || v.num != std::floor(v.num)) {
+        char num[32];
+        std::snprintf(num, sizeof(num), "%.17g", v.num);
+        err = what + " " + num + " is not an integer in [0, " +
+              std::to_string(limit) + ")";
+        return false;
+    }
+    out = static_cast<std::uint64_t>(v.num);
+    return true;
 }
 
 /** Everything parsed out of one shard file. */
@@ -120,8 +144,15 @@ parseShardFile(const std::string &path, ParsedShard &out,
         field("build_flags", out.manifest.buildFlags);
         field("hostname", out.manifest.hostname);
         if (const sim::JsonValue *v = man->find("threads")) {
-            if (v->kind == sim::JsonValue::Number)
-                out.manifest.threads = static_cast<unsigned>(v->num);
+            if (v->kind == sim::JsonValue::Number) {
+                constexpr std::uint64_t kMaxThreads =
+                    std::numeric_limits<unsigned>::max();
+                std::uint64_t threads = 0;
+                if (!readJsonInteger(*v, path + ": manifest \"threads\"",
+                                     threads, err, kMaxThreads + 1))
+                    return false;
+                out.manifest.threads = static_cast<unsigned>(threads);
+            }
         }
     }
 
@@ -182,8 +213,12 @@ parseShardFile(const std::string &path, ParsedShard &out,
         if (!hex)
             return false;
 
+        std::uint64_t indexValue = 0;
+        if (!readJsonInteger(*index, path + ": cell \"index\"",
+                             indexValue, err))
+            return false;
         ScenarioResult r;
-        r.index = static_cast<std::size_t>(index->num);
+        r.index = static_cast<std::size_t>(indexValue);
         r.name = name->str;
         std::uint64_t seedBits = 0;
         if (!parseHexU64(seed->str, seedBits)) {
@@ -342,6 +377,16 @@ mergeShardReports(const std::vector<std::string> &inputs,
                    std::to_string(s.shardCount);
         slot = &s;
     }
+
+    // A complete merge has exactly grid_size rows; checking that
+    // first keeps a forged grid_size from sizing the allocation below.
+    std::uint64_t rowCount = 0;
+    for (const ParsedShard &s : shards)
+        rowCount += s.rows.size();
+    if (rowCount != first.gridSize)
+        return "shard set holds " + std::to_string(rowCount) +
+               " cell row(s) for a " + std::to_string(first.gridSize) +
+               "-cell grid";
 
     // Rows: in-slice, complete, unique, and seed-consistent.
     const std::size_t gridSize =

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -324,8 +325,45 @@ TEST(ShardMerge, RejectsTamperedSeedMeta)
     // mix trips the cross-file check first.
     EXPECT_NE(err.find("does not match"), std::string::npos) << err;
 
+    // Hostile numbers in a one-shard report: each must be a one-line
+    // rejection, never an abort (a forged grid_size used to size the
+    // merge buffer) or a silent truncating double -> integer cast.
+    const std::string one = dir + "/tamper_one.json";
+    writeShard(one, 9, 7, ShardSpec{0, 1});
+    const std::string pristine = slurp(one);
+    const struct
+    {
+        const char *before;
+        const char *after;
+        const char *expect;
+    } cases[] = {
+        {"\"grid_size\": \"9\"", "\"grid_size\": \"18446744073709551615\"",
+         "9 cell row(s) for a 18446744073709551615-cell grid"},
+        {"\"grid_size\": \"9\"", "\"grid_size\": \"4000000000\"",
+         "9 cell row(s) for a 4000000000-cell grid"},
+        {"\"index\": 2,", "\"index\": 2.5,", "cell \"index\" 2.5"},
+        {"\"index\": 2,", "\"index\": -1,", "cell \"index\" -1"},
+        {"\"index\": 2,", "\"index\": 1e300,", "cell \"index\" 1"},
+        {"\"manifest\": {", "\"manifest\": {\"threads\": 2.7, ",
+         "manifest \"threads\" 2.7"},
+        {"\"manifest\": {", "\"manifest\": {\"threads\": -1e300, ",
+         "manifest \"threads\" -1"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.after);
+        text = pristine;
+        const std::size_t pos = text.find(c.before);
+        ASSERT_NE(pos, std::string::npos);
+        text.replace(pos, std::strlen(c.before), c.after);
+        spit(one, text);
+        const std::string e = mergeShardReports({one}, out);
+        EXPECT_NE(e.find(c.expect), std::string::npos) << e;
+        EXPECT_EQ(e.find('\n'), std::string::npos) << e;
+    }
+
     std::remove(a.c_str());
     std::remove(b.c_str());
+    std::remove(one.c_str());
 }
 
 TEST(ShardMerge, RejectsMissingFileAndEmptyInput)

@@ -348,13 +348,14 @@ TEST(NicBatch, OnPacketSeesPreBatchFramesReceived)
 }
 
 /**
- * bench_speed-shaped microbench grid: obs::Stat counter totals are
- * identical batched vs unbatched on defense x queue-count x attacker
- * cells. SimEvents equality is the interesting one -- events a
- * handler folds via EventQueue::tryAdvanceWithin must be counted
- * exactly like the separately scheduled events they replace, or the
- * tracked events-per-second baselines would measure batching as a
- * workload change instead of a speedup.
+ * Defense x queue-count x attacker microbench grid: obs::Stat counter
+ * totals are identical batched vs unbatched, and identical across two
+ * batched runs of one cell (the simulated work is deterministic).
+ * SimEvents equality is the interesting one -- events a handler folds
+ * via EventQueue::tryAdvanceWithin must be counted exactly like the
+ * separately scheduled events they replace, or events-per-second
+ * figures would measure batching as a workload change instead of a
+ * speedup.
  */
 TEST(NicBatch, CounterTotalsBatchedEqualsUnbatched)
 {
@@ -418,11 +419,14 @@ TEST(NicBatch, CounterTotalsBatchedEqualsUnbatched)
                      std::to_string(cell.queues) +
                      (cell.attacker ? "/attack" : "/benign"));
         const obs::StatSnapshot batched = runCell(cell, 0);
+        const obs::StatSnapshot rerun = runCell(cell, 0);
         const obs::StatSnapshot legacy = runCell(cell, 1);
         for (unsigned s = 0; s < obs::kStatCount; ++s) {
+            const char *name = obs::statName(static_cast<obs::Stat>(s));
+            EXPECT_EQ(batched.counts[s], rerun.counts[s])
+                << "counter " << name << " changed between runs";
             EXPECT_EQ(batched.counts[s], legacy.counts[s])
-                << "counter " << obs::statName(
-                       static_cast<obs::Stat>(s));
+                << "counter " << name;
         }
     }
 }
