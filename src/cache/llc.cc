@@ -26,6 +26,7 @@ Llc::Llc(const LlcConfig &cfg, std::unique_ptr<SliceHash> hash,
     const std::size_t sets = cfg_.geom.totalSets();
     tags_.assign(sets * cfg_.geom.ways, 0);
     meta_.assign(sets * cfg_.geom.ways, 0);
+    ioLines_.assign(sets, 0);
     repl_ = makeReplacement(cfg_.replacement, sets, cfg_.geom.ways,
                             Rng(cfg_.seed));
     policy_->init(*this);
@@ -90,12 +91,7 @@ Llc::validCount(std::size_t gset) const
 unsigned
 Llc::ioCount(std::size_t gset) const
 {
-    const std::uint8_t *meta = &meta_[gset * cfg_.geom.ways];
-    unsigned n = 0;
-    for (unsigned w = 0; w < cfg_.geom.ways; ++w)
-        if ((meta[w] & kValid) && (meta[w] & kIo))
-            ++n;
-    return n;
+    return ioLines_[gset];
 }
 
 unsigned
@@ -107,7 +103,7 @@ Llc::ioPartitionSize(std::size_t gset) const
 void
 Llc::evict(std::size_t gset, unsigned way, bool filler_is_io)
 {
-    std::uint8_t &m = meta_[lineIndex(gset, way)];
+    const std::uint8_t m = meta_[lineIndex(gset, way)];
     if (!(m & kValid))
         panic("Llc::evict of invalid way");
     if (m & kDirty)
@@ -123,7 +119,7 @@ Llc::evict(std::size_t gset, unsigned way, bool filler_is_io)
         else
             ++stats_.cpuEvictedByCpu;
     }
-    m &= static_cast<std::uint8_t>(~(kValid | kDirty));
+    setMeta(gset, way, static_cast<std::uint8_t>(m & ~(kValid | kDirty)));
     replReset(gset, way);
 }
 
@@ -134,10 +130,10 @@ Llc::partitionDrop(std::size_t gset, bool io_side)
     if (mask == 0)
         panic("Llc::partitionDrop: no line of the requested kind");
     const unsigned w = replVictim(gset, mask);
-    std::uint8_t &m = meta_[lineIndex(gset, w)];
+    const std::uint8_t m = meta_[lineIndex(gset, w)];
     if (m & kDirty)
         ++stats_.writebacks;
-    m &= static_cast<std::uint8_t>(~(kValid | kDirty));
+    setMeta(gset, w, static_cast<std::uint8_t>(m & ~(kValid | kDirty)));
     replReset(gset, w);
     ++stats_.partitionInvalidations;
 }
@@ -177,9 +173,9 @@ Llc::cpuFill(std::size_t gset, Addr block, bool dirty)
         }
     }
 
-    const std::size_t idx = lineIndex(gset, static_cast<unsigned>(way));
-    tags_[idx] = block;
-    meta_[idx] = static_cast<std::uint8_t>(kValid | (dirty ? kDirty : 0));
+    tags_[lineIndex(gset, static_cast<unsigned>(way))] = block;
+    setMeta(gset, static_cast<unsigned>(way),
+            static_cast<std::uint8_t>(kValid | (dirty ? kDirty : 0)));
     replTouch(gset, static_cast<unsigned>(way));
     return static_cast<unsigned>(way);
 }
@@ -217,10 +213,9 @@ Llc::ioFill(std::size_t gset, Addr block)
         }
     }
 
-    const std::size_t idx = lineIndex(gset, static_cast<unsigned>(way));
-    tags_[idx] = block;
+    tags_[lineIndex(gset, static_cast<unsigned>(way))] = block;
     // DDIO lines are written back only on eviction.
-    meta_[idx] = kValid | kDirty | kIo;
+    setMeta(gset, static_cast<unsigned>(way), kValid | kDirty | kIo);
     replTouch(gset, static_cast<unsigned>(way));
 }
 
@@ -271,8 +266,8 @@ Llc::cpuWrite(Addr paddr, Cycles now)
 
     const int way = findWay(gset, block);
     if (way >= 0) {
-        std::uint8_t &m = meta_[lineIndex(gset,
-                                          static_cast<unsigned>(way))];
+        const auto w = static_cast<unsigned>(way);
+        const std::uint8_t m = meta_[lineIndex(gset, w)];
         if ((m & kIo) && partitioned_) {
             // Defense: ownership may not silently flip -- that would
             // leave the CPU side over quota and the I/O side under-
@@ -281,8 +276,9 @@ Llc::cpuWrite(Addr paddr, Cycles now)
             // partition eviction if the quota is full).
             if (m & kDirty)
                 ++stats_.writebacks;
-            m &= static_cast<std::uint8_t>(~(kValid | kDirty));
-            replReset(gset, static_cast<unsigned>(way));
+            setMeta(gset, w,
+                    static_cast<std::uint8_t>(m & ~(kValid | kDirty)));
+            replReset(gset, w);
             ++stats_.invalidations;
             cpuFill(gset, block, true);
             --stats_.memReads; // on-chip move, not a demand fill
@@ -292,8 +288,8 @@ Llc::cpuWrite(Addr paddr, Cycles now)
         }
         // A CPU write to a DDIO line takes ownership (the driver copied
         // or consumed the packet); it is no longer an I/O line.
-        m = static_cast<std::uint8_t>((m | kDirty) & ~kIo);
-        replTouch(gset, static_cast<unsigned>(way));
+        setMeta(gset, w, static_cast<std::uint8_t>((m | kDirty) & ~kIo));
+        replTouch(gset, w);
         if (telem_)
             telem_->cpuAccess(sliceOf(gset), true, now);
         return true;
@@ -318,20 +314,21 @@ Llc::ioWrite(Addr paddr, Cycles now)
 
     const int way = findWay(gset, block);
     if (way >= 0) {
-        std::uint8_t &m = meta_[lineIndex(gset,
-                                          static_cast<unsigned>(way))];
+        const auto w = static_cast<unsigned>(way);
+        const std::uint8_t m = meta_[lineIndex(gset, w)];
         if (!(m & kIo) && partitioned_) {
             // Defense: DMA may not silently convert a CPU line into an
             // I/O line (that would grow the I/O side past its bound).
             // Invalidate the stale copy and allocate in the partition.
             ++stats_.invalidations;
-            m &= static_cast<std::uint8_t>(~(kValid | kDirty));
-            replReset(gset, static_cast<unsigned>(way));
+            setMeta(gset, w,
+                    static_cast<std::uint8_t>(m & ~(kValid | kDirty)));
+            replReset(gset, w);
             ioFill(gset, block);
         } else {
             ++stats_.ioWriteHits;
-            m |= kDirty | kIo;
-            replTouch(gset, static_cast<unsigned>(way));
+            setMeta(gset, w, static_cast<std::uint8_t>(m | kDirty | kIo));
+            replTouch(gset, w);
         }
         if (telem_ && stats_.ioAllocations != allocs0) {
             telem_->ioInjection(sliceOf(gset),
@@ -357,9 +354,10 @@ Llc::invalidateBlock(Addr paddr)
         return;
     // The DMA engine just overwrote memory; the cached copy is stale,
     // so it is dropped without writeback.
-    meta_[lineIndex(gset, static_cast<unsigned>(way))] &=
-        static_cast<std::uint8_t>(~(kValid | kDirty));
-    replReset(gset, static_cast<unsigned>(way));
+    const auto w = static_cast<unsigned>(way);
+    const std::uint8_t m = meta_[lineIndex(gset, w)];
+    setMeta(gset, w, static_cast<std::uint8_t>(m & ~(kValid | kDirty)));
+    replReset(gset, w);
     ++stats_.invalidations;
 }
 
@@ -390,6 +388,7 @@ Llc::flushAll()
             replReset(gset, w);
         }
     }
+    std::fill(ioLines_.begin(), ioLines_.end(), std::uint8_t{0});
 }
 
 } // namespace pktchase::cache

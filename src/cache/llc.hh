@@ -204,6 +204,9 @@ class Llc
     // one byte of flag bits per line, so the tag-match loop of findWay
     // streams through 8-byte tags and the validity scans touch one
     // cache line per set instead of striding over 16-byte AoS entries.
+    // A per-set count of valid I/O lines makes ioCount O(1); to keep it
+    // exact, every flag write goes through setMeta (flushAll, which
+    // clears every line, zeroes the counts wholesale).
     static constexpr std::uint8_t kValid = 1u << 0;
     static constexpr std::uint8_t kDirty = 1u << 1;
     static constexpr std::uint8_t kIo = 1u << 2;
@@ -220,6 +223,7 @@ class Llc
     LruPolicy *lru_ = nullptr;     ///< repl_ downcast, or null.
     std::vector<Addr> tags_;       ///< totalSets x ways block addrs.
     std::vector<std::uint8_t> meta_; ///< totalSets x ways flag bytes.
+    std::vector<std::uint8_t> ioLines_; ///< Valid I/O lines per set.
     LlcStats stats_;
     LlcTelemetry *telem_ = nullptr; ///< Counter probe; null = off-path.
 
@@ -227,6 +231,22 @@ class Llc
     lineIndex(std::size_t gset, unsigned way) const
     {
         return gset * cfg_.geom.ways + way;
+    }
+
+    static constexpr unsigned
+    isIo(std::uint8_t m)
+    {
+        return (m & (kValid | kIo)) == (kValid | kIo) ? 1u : 0u;
+    }
+
+    /** Set the flags of @p way in @p gset, keeping ioLines_ exact. */
+    void
+    setMeta(std::size_t gset, unsigned way, std::uint8_t flags)
+    {
+        std::uint8_t &m = meta_[lineIndex(gset, way)];
+        ioLines_[gset] = static_cast<std::uint8_t>(
+            ioLines_[gset] + isIo(flags) - isIo(m));
+        m = flags;
     }
 
     // Devirtualized replacement-policy calls: LruPolicy is final, so

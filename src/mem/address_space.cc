@@ -15,39 +15,45 @@ AddressSpace::mmap(std::size_t pages)
 {
     if (pages == 0)
         panic("AddressSpace::mmap of zero pages");
-    const Addr base_vpn = nextVpn_;
-    for (std::size_t i = 0; i < pages; ++i) {
-        const Addr vpn = nextVpn_++;
-        pageTable_[vpn] = phys_.allocFrame(owner_);
-    }
+    const Addr base_vpn = kBaseVpn + pageTable_.size();
+    for (std::size_t i = 0; i < pages; ++i)
+        pageTable_.push_back(phys_.allocFrame(owner_));
+    mappedPages_ += pages;
     return base_vpn * pageBytes;
+}
+
+Addr
+AddressSpace::frameOf(Addr vaddr) const
+{
+    // Below the base, the subtraction wraps and fails the bound too.
+    const Addr idx = vaddr / pageBytes - kBaseVpn;
+    return idx < pageTable_.size() ? pageTable_[idx] : kUnmapped;
 }
 
 void
 AddressSpace::munmapPage(Addr vaddr)
 {
-    const Addr vpn = vaddr / pageBytes;
-    auto it = pageTable_.find(vpn);
-    if (it == pageTable_.end())
+    const Addr frame = frameOf(vaddr);
+    if (frame == kUnmapped)
         panic("AddressSpace::munmapPage of unmapped page");
-    phys_.freeFrame(it->second);
-    pageTable_.erase(it);
+    phys_.freeFrame(frame);
+    pageTable_[vaddr / pageBytes - kBaseVpn] = kUnmapped;
+    --mappedPages_;
 }
 
 Addr
 AddressSpace::translate(Addr vaddr) const
 {
-    const Addr vpn = vaddr / pageBytes;
-    auto it = pageTable_.find(vpn);
-    if (it == pageTable_.end())
+    const Addr frame = frameOf(vaddr);
+    if (frame == kUnmapped)
         panic("AddressSpace::translate fault (unmapped page)");
-    return it->second + (vaddr & (pageBytes - 1));
+    return frame + (vaddr & (pageBytes - 1));
 }
 
 bool
 AddressSpace::mapped(Addr vaddr) const
 {
-    return pageTable_.count(vaddr / pageBytes) != 0;
+    return frameOf(vaddr) != kUnmapped;
 }
 
 } // namespace pktchase::mem

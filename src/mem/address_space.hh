@@ -13,7 +13,6 @@
 #define PKTCHASE_MEM_ADDRESS_SPACE_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/phys_mem.hh"
@@ -23,7 +22,11 @@ namespace pktchase::mem
 {
 
 /**
- * A sparse virtual-to-physical page mapping for one simulated process.
+ * A dense virtual-to-physical page mapping for one simulated process.
+ *
+ * The page table is a flat array indexed by vpn minus the mmap base.
+ * vpns come from a bump allocator and are never reused, so the array
+ * has no holes except munmapped pages, which hold a sentinel.
  */
 class AddressSpace
 {
@@ -56,13 +59,20 @@ class AddressSpace
     bool mapped(Addr vaddr) const;
 
     /** Number of currently mapped pages. */
-    std::size_t pageCount() const { return pageTable_.size(); }
+    std::size_t pageCount() const { return mappedPages_; }
 
   private:
+    static constexpr Addr kBaseVpn = 0x10000; ///< Arbitrary nonzero base.
+    /** Table entry of an unmapped page; frames are page-aligned. */
+    static constexpr Addr kUnmapped = ~Addr(0);
+
+    /** Frame base of the page containing @p vaddr, or kUnmapped. */
+    Addr frameOf(Addr vaddr) const;
+
     PhysMem &phys_;
     Owner owner_;
-    Addr nextVpn_ = 0x10000; ///< Arbitrary nonzero mmap base.
-    std::unordered_map<Addr, Addr> pageTable_; ///< vpn -> frame base.
+    std::vector<Addr> pageTable_;  ///< (vpn - kBaseVpn) -> frame base.
+    std::size_t mappedPages_ = 0;
 };
 
 } // namespace pktchase::mem

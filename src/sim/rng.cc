@@ -130,18 +130,25 @@ Rng::nextZipf(std::uint64_t n, double s)
     // Rejection-inversion sampling (Hormann & Derflinger) is overkill for
     // the workload model; a simple inverse-CDF walk over a cached harmonic
     // sum would be O(n) per draw, so we use the standard approximation:
-    // draw u and invert the continuous Zipf CDF, then clamp.
+    // draw u and invert the continuous Zipf CDF, then clamp. The
+    // normalizer hn depends only on (n, s), so it is memoized for the
+    // last pair asked for; callers draw long runs with the same pair.
     const double u = 1.0 - nextDouble(); // (0, 1]
+    const double oneMinusS = 1.0 - s;
+    if (n != zipfN_ || s != zipfS_) {
+        zipfN_ = n;
+        zipfS_ = s;
+        zipfHn_ = s == 1.0
+            ? std::log(static_cast<double>(n) + 1.0)
+            : (std::pow(static_cast<double>(n) + 1.0, oneMinusS) - 1.0) /
+                oneMinusS;
+    }
+    const double hn = zipfHn_;
     if (s == 1.0) {
-        const double hn = std::log(static_cast<double>(n) + 1.0);
         const double x = std::exp(u * hn) - 1.0;
         const auto k = static_cast<std::uint64_t>(x);
         return std::min(k, n - 1);
     }
-    const double oneMinusS = 1.0 - s;
-    const double hn =
-        (std::pow(static_cast<double>(n) + 1.0, oneMinusS) - 1.0) /
-        oneMinusS;
     const double x =
         std::pow(u * hn * oneMinusS + 1.0, 1.0 / oneMinusS) - 1.0;
     const auto k = static_cast<std::uint64_t>(x);

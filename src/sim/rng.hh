@@ -76,6 +76,12 @@ class Rng
     std::uint64_t state_[4];
     bool hasCachedGaussian_ = false;
     double cachedGaussian_ = 0.0;
+
+    // nextZipf's normalizer for the last (n, s) it was asked for;
+    // n == 0 (never a valid argument) marks the memo empty.
+    std::uint64_t zipfN_ = 0;
+    double zipfS_ = 0.0;
+    double zipfHn_ = 0.0;
 };
 
 } // namespace pktchase

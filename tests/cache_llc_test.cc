@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include "cache/llc.hh"
+#include "llc_test_util.hh"
 
 using namespace pktchase;
 using namespace pktchase::cache;
+using namespace pktchase::cache::llctest;
 
 namespace
 {
@@ -22,13 +24,6 @@ makeSmall(unsigned ways = 4, unsigned ddio_ways = 2)
     cfg.geom = Geometry{1, 64, ways};
     cfg.ddioWays = ddio_ways;
     return Llc(cfg, std::make_unique<IdentitySliceHash>(1, 0));
-}
-
-/** Address of block @p i in set @p set (single-slice geometry). */
-Addr
-addrOf(unsigned set, unsigned i)
-{
-    return (Addr(i) * 64 + set) * blockBytes;
 }
 
 } // namespace
@@ -222,19 +217,30 @@ TEST(Llc, ClearStatsKeepsContents)
 
 TEST(Llc, StatsConservation)
 {
-    // Random traffic: misses == fills; every eviction is attributed.
+    // Random traffic: misses == fills; every eviction is attributed;
+    // the per-set I/O line count tracks every flag write, a mid-run
+    // flush included.
     Llc llc = makeSmall(4, 2);
     Rng rng(7);
     for (int t = 0; t < 20000; ++t) {
         const Addr a = addrOf(static_cast<unsigned>(rng.nextBounded(64)),
                               static_cast<unsigned>(rng.nextBounded(8)));
-        const unsigned op = static_cast<unsigned>(rng.nextBounded(3));
+        const unsigned op = static_cast<unsigned>(rng.nextBounded(4));
         if (op == 0)
             llc.cpuRead(a, static_cast<Cycles>(t));
         else if (op == 1)
             llc.cpuWrite(a, static_cast<Cycles>(t));
-        else
+        else if (op == 2)
             llc.ioWrite(a, static_cast<Cycles>(t));
+        else
+            llc.invalidateBlock(a);
+        if (t == 10000) {
+            llc.flushAll();
+            ASSERT_TRUE(ioCountsMatchRescan(llc, 8));
+        }
+        if (t % 1000 == 999) {
+            ASSERT_TRUE(ioCountsMatchRescan(llc, 8)) << "after op " << t;
+        }
     }
     const LlcStats &s = llc.stats();
     EXPECT_EQ(s.memReads, s.cpuReadMisses + s.cpuWriteMisses);

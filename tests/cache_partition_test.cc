@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include "cache/llc.hh"
+#include "llc_test_util.hh"
 
 using namespace pktchase;
 using namespace pktchase::cache;
+using namespace pktchase::cache::llctest;
 
 namespace
 {
@@ -35,12 +37,6 @@ makePartitioned(unsigned ways = 8)
     return Llc(partitionConfig(ways),
                std::make_unique<IdentitySliceHash>(1, 0),
                std::make_unique<AdaptivePartitionPolicy>());
-}
-
-Addr
-addrOf(unsigned set, unsigned i)
-{
-    return (Addr(i) * 64 + set) * blockBytes;
 }
 
 } // namespace
@@ -166,16 +162,29 @@ TEST(Partition, PropertyIoNeverEvictsCpuUnderRandomTraffic)
                 addrOf(static_cast<unsigned>(rng.nextBounded(64)),
                        static_cast<unsigned>(rng.nextBounded(10)));
             t += rng.nextBounded(2000);
-            switch (rng.nextBounded(3)) {
+            switch (rng.nextBounded(4)) {
               case 0:
                 llc.cpuRead(a, t);
                 break;
               case 1:
                 llc.cpuWrite(a, t);
                 break;
-              default:
+              case 2:
                 llc.ioWrite(a, t);
                 break;
+              default:
+                llc.invalidateBlock(a);
+                break;
+            }
+            // The per-set I/O line count tracks every flag write
+            // (partition drops and a mid-run flush included).
+            if (op == 25000) {
+                llc.flushAll();
+                ASSERT_TRUE(ioCountsMatchRescan(llc, 10));
+            }
+            if (op % 5000 == 4999) {
+                ASSERT_TRUE(ioCountsMatchRescan(llc, 10))
+                    << "seed " << seed << " after op " << op;
             }
         }
         EXPECT_EQ(llc.stats().cpuEvictedByIo, 0u)

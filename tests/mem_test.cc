@@ -145,11 +145,21 @@ TEST(AddressSpace, MunmapFreesFrame)
 {
     PhysMem pm(Addr(1) << 20, Rng(14));
     AddressSpace as(pm, Owner::Attacker);
-    const Addr base = as.mmap(1);
+    const Addr base = as.mmap(3);
+    const Addr mid = base + pageBytes;
+    const Addr last = base + 2 * pageBytes;
+    const Addr pa_first = as.translate(base + 5);
+    const Addr pa_last = as.translate(last + 7);
     const std::size_t free_before = pm.freeFrames();
-    as.munmapPage(base);
+    as.munmapPage(mid);
     EXPECT_EQ(pm.freeFrames(), free_before + 1);
-    EXPECT_FALSE(as.mapped(base));
+    EXPECT_FALSE(as.mapped(mid));
+    EXPECT_EQ(as.pageCount(), 2u);
+    // The neighbouring pages keep their frames.
+    EXPECT_TRUE(as.mapped(base));
+    EXPECT_TRUE(as.mapped(last));
+    EXPECT_EQ(as.translate(base + 5), pa_first);
+    EXPECT_EQ(as.translate(last + 7), pa_last);
 }
 
 TEST(AddressSpaceDeath, TranslateFaultPanics)
@@ -157,4 +167,19 @@ TEST(AddressSpaceDeath, TranslateFaultPanics)
     PhysMem pm(Addr(1) << 20, Rng(15));
     AddressSpace as(pm, Owner::Attacker);
     EXPECT_DEATH(as.translate(0xDEAD000), "fault");
+    const Addr base = as.mmap(2);
+    as.munmapPage(base);
+    EXPECT_DEATH(as.translate(base), "fault");
+    EXPECT_DEATH(as.translate(base + 2 * pageBytes), "fault");
+    EXPECT_DEATH(as.translate(base - pageBytes), "fault");
+    EXPECT_DEATH(as.translate(0), "fault");
+}
+
+TEST(AddressSpaceDeath, DoubleMunmapPanics)
+{
+    PhysMem pm(Addr(1) << 20, Rng(16));
+    AddressSpace as(pm, Owner::Attacker);
+    const Addr base = as.mmap(1);
+    as.munmapPage(base);
+    EXPECT_DEATH(as.munmapPage(base), "unmapped");
 }
