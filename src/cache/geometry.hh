@@ -51,14 +51,21 @@ struct Geometry
             (paddr >> blockShift) & (setsPerSlice - 1));
     }
 
+    /** Width of the per-slice set index (setsPerSlice is 2^this). */
+    unsigned
+    indexBits() const
+    {
+        unsigned bits = 0;
+        for (unsigned s = setsPerSlice; s > 1; s >>= 1)
+            ++bits;
+        return bits;
+    }
+
     /** Tag bits of a physical address (above index + offset). */
     Addr
     tag(Addr paddr) const
     {
-        unsigned index_bits = 0;
-        for (unsigned s = setsPerSlice; s > 1; s >>= 1)
-            ++index_bits;
-        return paddr >> (blockShift + index_bits);
+        return paddr >> (blockShift + indexBits());
     }
 
     /**

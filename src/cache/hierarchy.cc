@@ -1,11 +1,130 @@
 #include "hierarchy.hh"
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 
 #include "sim/logging.hh"
 
 namespace pktchase::cache
 {
+
+// timedRead's fast path. A timed read returns
+//
+//   Cycles(max(base + (0.0 + sigma * g) [+ outlier], 1.0))
+//
+// with g = Rng::boxMuller(u1, u2).first or .second. Only the integer
+// matters, so the fast path rounds an approximation g~ of g and calls
+// the libm transform only when the approximate latency is too close
+// to an integer to round with certainty.
+//
+// Error bound E on |g~ - g| (u1 in [2^-53, 1), u2 in [0, 1)):
+//  - ln u1 = e ln2 + ln c_i + p(r): a 256-entry table of c_i =
+//    1 + (i + 1/2) / 256, 1 / c_i and ln c_i, and a degree-4 series
+//    for ln(1 + r), |r| <= 2^-9 (truncation <= 2^-45 / 5). Rounding
+//    of e * ln2 (|e| <= 53) and the two sums adds < 1.4e-14, so
+//    |ln~ - ln| <= 2^-45. libm's own log is within 1 ulp (<= 2^-47).
+//    So |L~ - L| <= 2^-43 for L = -2 ln u1.
+//  - sqrt: |sqrt(a) - sqrt(b)| <= sqrt(|a - b|), so the magnitudes
+//    differ by <= 2^-21.5 + 2^-49.
+//  - cos/sin(2 pi u2): a 257-entry table at multiples of 2 pi / 256
+//    and degree-3/4 series in |phi| <= pi/256 (truncation < 2.4e-12).
+//    libm's argument fl(2 pi u2) is off by <= 7e-16; table and
+//    arithmetic rounding add < 2e-15. Total < 2^-38.
+//  - g = mag * trig with mag <= 8.58: E < 2^-21.5 + 2^-49 +
+//    8.58 * 2^-38 + 2^-49 < 2^-21.
+// The latency sum rounds s = sigma * g, then base + s, then
+// + outlier, on both sides. Each magnitude is <= M = base + outlier
+// + 9 sigma, so the six roundings add <= 6 * 2^-53 * M < 2^-50 * M.
+// The exact latency therefore lies within
+//
+//   B = sigma * 2^-21 + M * 2^-50
+//
+// of the approximate one. If the approximate latency x satisfies
+// x + B < 2, the result is 1. If B <= frac(x) < 1 - B, the result is
+// floor(x). Anything else, and any B >= 1/4, takes the exact path.
+// sigma = 0 adds exactly zero noise and needs no transform at all.
+
+namespace
+{
+
+constexpr int kLogBits = 8;
+constexpr int kTrigBits = 8;
+constexpr double kLn2 = 0.6931471805599453;
+
+struct LogEntry
+{
+    double c;    ///< 1 + (i + 1/2) / 256.
+    double invC; ///< 1 / c.
+    double logC; ///< ln c.
+};
+
+struct TrigEntry
+{
+    double cos; ///< cos(2 pi k / 256).
+    double sin; ///< sin(2 pi k / 256).
+};
+
+/** Tables for the approximate log and sincos. Built once, with libm. */
+struct NoiseTables
+{
+    LogEntry log[1 << kLogBits];
+    TrigEntry trig[(1 << kTrigBits) + 1];
+
+    NoiseTables()
+    {
+        for (int i = 0; i < (1 << kLogBits); ++i) {
+            const double c = 1.0 + (i + 0.5) / (1 << kLogBits);
+            log[i] = {c, 1.0 / c, std::log(c)};
+        }
+        for (int k = 0; k <= (1 << kTrigBits); ++k) {
+            const double a = 2.0 * M_PI * k / (1 << kTrigBits);
+            trig[k] = {std::cos(a), std::sin(a)};
+        }
+    }
+};
+
+const NoiseTables &
+noiseTables()
+{
+    static const NoiseTables tables;
+    return tables;
+}
+
+/** Approximate -2 ln(u) for u in [2^-53, 1); never negative. */
+double
+approxMinus2Log(const NoiseTables &t, double u)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &u, sizeof bits);
+    const int e = static_cast<int>(bits >> 52) - 1023;
+    const LogEntry &l =
+        t.log[(bits >> (52 - kLogBits)) & ((1u << kLogBits) - 1)];
+    const std::uint64_t mbits =
+        (bits & ((std::uint64_t(1) << 52) - 1)) | 0x3FF0000000000000ull;
+    double m = 0.0;
+    std::memcpy(&m, &mbits, sizeof m);
+    const double r = (m - l.c) * l.invC;
+    const double p = r * (1.0 + r * (-0.5 + r * (1.0 / 3 + r * -0.25)));
+    return std::max(-2.0 * (e * kLn2 + l.logC + p), 0.0);
+}
+
+/** Approximate (cos, sin)(2 pi u) for u in [0, 1). */
+void
+approxCosSin(const NoiseTables &t, double u, double &c, double &s)
+{
+    const double x = u * (1 << kTrigBits);
+    const int k = static_cast<int>(x + 0.5);
+    const double phi = (x - k) * (2.0 * M_PI / (1 << kTrigBits));
+    const double p2 = phi * phi;
+    const double sp = phi - phi * p2 * (1.0 / 6);
+    const double cp = 1.0 - p2 * (0.5 - p2 * (1.0 / 24));
+    const TrigEntry &a = t.trig[k];
+    c = a.cos * cp - a.sin * sp;
+    s = a.sin * cp + a.cos * sp;
+}
+
+} // namespace
 
 Hierarchy::Hierarchy(const LlcConfig &llc_cfg, const HierarchyConfig &cfg,
                      std::unique_ptr<SliceHash> hash,
@@ -15,16 +134,66 @@ Hierarchy::Hierarchy(const LlcConfig &llc_cfg, const HierarchyConfig &cfg,
                                  std::move(policy))),
       rng_(cfg.seed)
 {
+    const double sigma = std::fabs(cfg_.timerNoiseSigma);
+    const double m =
+        static_cast<double>(std::max(cfg_.llcHitLatency, cfg_.dramLatency)) +
+        static_cast<double>(cfg_.outlierCycles) + 9.0 * sigma;
+    noiseBand_ = sigma * 0x1p-21 + m * 0x1p-50;
+    noiseExact_ = !(noiseBand_ < 0.25);
 }
 
 Cycles
 Hierarchy::timedRead(Addr paddr, Cycles now)
 {
     const bool hit = llc_->cpuRead(paddr, now);
-    double lat = hit ? static_cast<double>(cfg_.llcHitLatency)
-                     : static_cast<double>(cfg_.dramLatency);
-    lat += rng_.nextGaussian(0.0, cfg_.timerNoiseSigma);
-    if (rng_.nextBool(cfg_.outlierProb))
+    const double base = hit ? static_cast<double>(cfg_.llcHitLatency)
+                            : static_cast<double>(cfg_.dramLatency);
+    const bool second = pairHalf_;
+    pairHalf_ = !pairHalf_;
+    if (!second) {
+        do {
+            u1_ = rng_.nextDouble();
+        } while (u1_ <= 0.0);
+        u2_ = rng_.nextDouble();
+    }
+    const bool outlier = rng_.nextBool(cfg_.outlierProb);
+    const double sigma = cfg_.timerNoiseSigma;
+
+    if (sigma == 0.0) {
+        // sigma * g is exactly zero for the finite g Box-Muller makes.
+        double lat = base;
+        if (outlier)
+            lat += static_cast<double>(cfg_.outlierCycles);
+        return static_cast<Cycles>(std::max(lat, 1.0));
+    }
+
+    if (!noiseExact_) {
+        double g = approxSecond_;
+        if (!second) {
+            const NoiseTables &t = noiseTables();
+            const double mag = std::sqrt(approxMinus2Log(t, u1_));
+            double c = 0.0, s = 0.0;
+            approxCosSin(t, u2_, c, s);
+            approxSecond_ = mag * s;
+            g = mag * c;
+        }
+        double lat = base + sigma * g;
+        if (outlier)
+            lat += static_cast<double>(cfg_.outlierCycles);
+        if (lat + noiseBand_ < 2.0)
+            return 1;
+        const auto whole = static_cast<Cycles>(lat);
+        const double frac = lat - static_cast<double>(whole);
+        if (frac >= noiseBand_ && frac + noiseBand_ < 1.0)
+            return whole;
+        ++noiseFallbacks_;
+    }
+
+    // nextGaussian(0.0, sigma)'s arithmetic, so the result is exact.
+    const Rng::GaussianPair g = Rng::boxMuller(u1_, u2_);
+    double lat = base;
+    lat += 0.0 + sigma * (second ? g.second : g.first);
+    if (outlier)
         lat += static_cast<double>(cfg_.outlierCycles);
     lat = std::max(lat, 1.0);
     return static_cast<Cycles>(lat);

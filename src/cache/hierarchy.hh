@@ -74,6 +74,15 @@ class Hierarchy
      */
     Cycles timedRead(Addr paddr, Cycles now);
 
+    /**
+     * Timed reads whose noise the fast path could not round with
+     * certainty and that took the exact Box-Muller transform instead.
+     */
+    std::uint64_t noiseFallbacks() const { return noiseFallbacks_; }
+
+    /** The timer-noise generator (its state, for equivalence tests). */
+    const Rng &noiseRng() const { return rng_; }
+
     /** Untimed CPU read (victim/driver activity). @return true on hit. */
     bool cpuRead(Addr paddr, Cycles now);
 
@@ -108,7 +117,19 @@ class Hierarchy
     HierarchyConfig cfg_;
     std::unique_ptr<Llc> llc_;
     DmaStats dma_;
+
+    // Timer noise. rng_ draws what rng_.nextGaussian() followed by
+    // rng_.nextBool() would: a fresh (u1, u2) pair on every other
+    // read, then the outlier trial. The pair state lives here so the
+    // noise can be rounded from an approximation (hierarchy.cc).
     Rng rng_;
+    bool pairHalf_ = false;       ///< This read takes the pair's sin half.
+    double u1_ = 0.0;             ///< The current pair's uniforms.
+    double u2_ = 0.0;
+    double approxSecond_ = 0.0;   ///< Approximate sin-half variate.
+    double noiseBand_ = 0.0;      ///< Bound on |approx - exact| latency.
+    bool noiseExact_ = false;     ///< Band too wide: always transform.
+    std::uint64_t noiseFallbacks_ = 0;
 };
 
 } // namespace pktchase::cache

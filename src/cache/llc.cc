@@ -1,6 +1,8 @@
 #include "llc.hh"
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 
 #include "obs/stats.hh"
 #include "sim/logging.hh"
@@ -18,13 +20,17 @@ Llc::Llc(const LlcConfig &cfg, std::unique_ptr<SliceHash> hash,
         fatal("Llc requires a slice hash");
     if (hash_->slices() != cfg_.geom.slices)
         fatal("Llc: slice hash width does not match geometry");
+    if (cfg_.geom.setsPerSlice == 0 ||
+        (cfg_.geom.setsPerSlice & (cfg_.geom.setsPerSlice - 1)) != 0)
+        fatal("Llc: geom.setsPerSlice must be a nonzero power of two");
     if (cfg_.geom.ways > 32)
         fatal("Llc: way masks support at most 32 ways");
     if (cfg_.ddioWays == 0 || cfg_.ddioWays > cfg_.geom.ways)
         fatal("Llc: ddioWays out of range");
 
+    tagShift_ = blockShift + cfg_.geom.indexBits();
     const std::size_t sets = cfg_.geom.totalSets();
-    tags_.assign(sets * cfg_.geom.ways, 0);
+    tags_.assign(sets * cfg_.geom.ways, kNoTag);
     meta_.assign(sets * cfg_.geom.ways, 0);
     ioLines_.assign(sets, 0);
     repl_ = makeReplacement(cfg_.replacement, sets, cfg_.geom.ways,
@@ -41,14 +47,23 @@ Llc::Llc(const LlcConfig &cfg, std::unique_ptr<SliceHash> hash,
     lru_ = dynamic_cast<LruPolicy *>(repl_.get());
 }
 
-int
-Llc::findWay(std::size_t gset, Addr block) const
+void
+Llc::tagTooWide(Addr paddr)
 {
-    const std::size_t base = gset * cfg_.geom.ways;
-    const Addr *tags = &tags_[base];
-    const std::uint8_t *meta = &meta_[base];
+    char msg[96];
+    std::snprintf(msg, sizeof msg,
+                  "Llc: address 0x%" PRIx64 " has a tag of 32 or more bits",
+                  static_cast<std::uint64_t>(paddr));
+    fatal(msg);
+}
+
+int
+Llc::findWay(std::size_t gset, std::uint32_t tag) const
+{
+    // Invalid lines hold kNoTag, which no address's tag equals.
+    const std::uint32_t *tags = &tags_[gset * cfg_.geom.ways];
     for (unsigned w = 0; w < cfg_.geom.ways; ++w) {
-        if ((meta[w] & kValid) && tags[w] == block)
+        if (tags[w] == tag)
             return static_cast<int>(w);
     }
     return -1;
@@ -139,7 +154,7 @@ Llc::partitionDrop(std::size_t gset, bool io_side)
 }
 
 unsigned
-Llc::cpuFill(std::size_t gset, Addr block, bool dirty)
+Llc::cpuFill(std::size_t gset, std::uint32_t tag, bool dirty)
 {
     ++stats_.memReads;
     int way = -1;
@@ -173,7 +188,7 @@ Llc::cpuFill(std::size_t gset, Addr block, bool dirty)
         }
     }
 
-    tags_[lineIndex(gset, static_cast<unsigned>(way))] = block;
+    tags_[lineIndex(gset, static_cast<unsigned>(way))] = tag;
     setMeta(gset, static_cast<unsigned>(way),
             static_cast<std::uint8_t>(kValid | (dirty ? kDirty : 0)));
     replTouch(gset, static_cast<unsigned>(way));
@@ -181,7 +196,7 @@ Llc::cpuFill(std::size_t gset, Addr block, bool dirty)
 }
 
 void
-Llc::ioFill(std::size_t gset, Addr block)
+Llc::ioFill(std::size_t gset, std::uint32_t tag)
 {
     ++stats_.ioAllocations;
     obs::bump(obs::Stat::LlcMisses);
@@ -213,18 +228,19 @@ Llc::ioFill(std::size_t gset, Addr block)
         }
     }
 
-    tags_[lineIndex(gset, static_cast<unsigned>(way))] = block;
+    tags_[lineIndex(gset, static_cast<unsigned>(way))] = tag;
     // DDIO lines are written back only on eviction.
     setMeta(gset, static_cast<unsigned>(way), kValid | kDirty | kIo);
     replTouch(gset, static_cast<unsigned>(way));
 }
 
 void
-Llc::cpuMissFill(std::size_t gset, Addr block, bool dirty, Cycles now)
+Llc::cpuMissFill(std::size_t gset, std::uint32_t tag, bool dirty,
+                 Cycles now)
 {
     obs::bump(obs::Stat::LlcMisses);
     const std::uint64_t conflicts0 = stats_.ioEvictedByCpu;
-    cpuFill(gset, block, dirty);
+    cpuFill(gset, tag, dirty);
     if (telem_) {
         telem_->cpuAccess(sliceOf(gset), false, now);
         if (stats_.ioEvictedByCpu != conflicts0)
@@ -237,12 +253,12 @@ Llc::cpuRead(Addr paddr, Cycles now)
 {
     ++stats_.cpuReads;
     obs::bump(obs::Stat::LlcAccesses);
-    const Addr block = paddr >> blockShift;
+    const std::uint32_t tag = tagOf(paddr);
     const std::size_t gset = globalSet(paddr);
     if (wantsOnAccess_)
         policy_->onAccess(*this, gset, now);
 
-    const int way = findWay(gset, block);
+    const int way = findWay(gset, tag);
     if (way >= 0) {
         replTouch(gset, static_cast<unsigned>(way));
         if (telem_)
@@ -250,7 +266,7 @@ Llc::cpuRead(Addr paddr, Cycles now)
         return true;
     }
     ++stats_.cpuReadMisses;
-    cpuMissFill(gset, block, false, now);
+    cpuMissFill(gset, tag, false, now);
     return false;
 }
 
@@ -259,12 +275,12 @@ Llc::cpuWrite(Addr paddr, Cycles now)
 {
     ++stats_.cpuWrites;
     obs::bump(obs::Stat::LlcAccesses);
-    const Addr block = paddr >> blockShift;
+    const std::uint32_t tag = tagOf(paddr);
     const std::size_t gset = globalSet(paddr);
     if (wantsOnAccess_)
         policy_->onAccess(*this, gset, now);
 
-    const int way = findWay(gset, block);
+    const int way = findWay(gset, tag);
     if (way >= 0) {
         const auto w = static_cast<unsigned>(way);
         const std::uint8_t m = meta_[lineIndex(gset, w)];
@@ -280,7 +296,7 @@ Llc::cpuWrite(Addr paddr, Cycles now)
                     static_cast<std::uint8_t>(m & ~(kValid | kDirty)));
             replReset(gset, w);
             ++stats_.invalidations;
-            cpuFill(gset, block, true);
+            cpuFill(gset, tag, true);
             --stats_.memReads; // on-chip move, not a demand fill
             if (telem_)
                 telem_->cpuAccess(sliceOf(gset), true, now);
@@ -295,7 +311,7 @@ Llc::cpuWrite(Addr paddr, Cycles now)
         return true;
     }
     ++stats_.cpuWriteMisses;
-    cpuMissFill(gset, block, true, now);
+    cpuMissFill(gset, tag, true, now);
     return false;
 }
 
@@ -304,7 +320,7 @@ Llc::ioWrite(Addr paddr, Cycles now)
 {
     ++stats_.ioWrites;
     obs::bump(obs::Stat::LlcAccesses);
-    const Addr block = paddr >> blockShift;
+    const std::uint32_t tag = tagOf(paddr);
     const std::size_t gset = globalSet(paddr);
     if (wantsOnAccess_)
         policy_->onAccess(*this, gset, now);
@@ -312,7 +328,7 @@ Llc::ioWrite(Addr paddr, Cycles now)
     const std::uint64_t allocs0 = stats_.ioAllocations;
     const std::uint64_t displaced0 = stats_.cpuEvictedByIo;
 
-    const int way = findWay(gset, block);
+    const int way = findWay(gset, tag);
     if (way >= 0) {
         const auto w = static_cast<unsigned>(way);
         const std::uint8_t m = meta_[lineIndex(gset, w)];
@@ -324,7 +340,7 @@ Llc::ioWrite(Addr paddr, Cycles now)
             setMeta(gset, w,
                     static_cast<std::uint8_t>(m & ~(kValid | kDirty)));
             replReset(gset, w);
-            ioFill(gset, block);
+            ioFill(gset, tag);
         } else {
             ++stats_.ioWriteHits;
             setMeta(gset, w, static_cast<std::uint8_t>(m | kDirty | kIo));
@@ -337,7 +353,7 @@ Llc::ioWrite(Addr paddr, Cycles now)
         }
         return;
     }
-    ioFill(gset, block);
+    ioFill(gset, tag);
     if (telem_) {
         telem_->ioInjection(sliceOf(gset),
                             stats_.cpuEvictedByIo != displaced0, now);
@@ -347,9 +363,9 @@ Llc::ioWrite(Addr paddr, Cycles now)
 void
 Llc::invalidateBlock(Addr paddr)
 {
-    const Addr block = paddr >> blockShift;
+    const std::uint32_t tag = tagOf(paddr);
     const std::size_t gset = globalSet(paddr);
-    const int way = findWay(gset, block);
+    const int way = findWay(gset, tag);
     if (way < 0)
         return;
     // The DMA engine just overwrote memory; the cached copy is stale,
@@ -364,14 +380,14 @@ Llc::invalidateBlock(Addr paddr)
 bool
 Llc::contains(Addr paddr) const
 {
-    return findWay(globalSet(paddr), paddr >> blockShift) >= 0;
+    return findWay(globalSet(paddr), tagOf(paddr)) >= 0;
 }
 
 bool
 Llc::containsIoLine(Addr paddr) const
 {
     const std::size_t gset = globalSet(paddr);
-    const int way = findWay(gset, paddr >> blockShift);
+    const int way = findWay(gset, tagOf(paddr));
     return way >= 0 &&
         (meta_[lineIndex(gset, static_cast<unsigned>(way))] & kIo) != 0;
 }
@@ -388,6 +404,7 @@ Llc::flushAll()
             replReset(gset, w);
         }
     }
+    std::fill(tags_.begin(), tags_.end(), kNoTag);
     std::fill(ioLines_.begin(), ioLines_.end(), std::uint8_t{0});
 }
 

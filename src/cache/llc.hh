@@ -200,18 +200,21 @@ class Llc
     void notePartitionAdaptation() { ++stats_.partitionAdaptations; }
 
   private:
-    // Line state is split structure-of-arrays: a flat tag array plus
-    // one byte of flag bits per line, so the tag-match loop of findWay
-    // streams through 8-byte tags and the validity scans touch one
-    // cache line per set instead of striding over 16-byte AoS entries.
-    // A per-set count of valid I/O lines makes ioCount O(1); to keep it
-    // exact, every flag write goes through setMeta (flushAll, which
-    // clears every line, zeroes the counts wholesale).
+    // Line state is split structure-of-arrays: a flat array of 32-bit
+    // tags (Geometry::tag; kNoTag marks an invalid line) plus one byte
+    // of flag bits per line. The hit scan of findWay reads one 80-byte
+    // tag row and no flags; the validity scans touch one cache line
+    // of flags per set. A per-set count of valid I/O lines makes
+    // ioCount O(1). To keep the counts and the kNoTag marks exact,
+    // every flag write goes through setMeta (flushAll, which clears
+    // every line, resets both wholesale).
+    static constexpr std::uint32_t kNoTag = ~std::uint32_t(0);
     static constexpr std::uint8_t kValid = 1u << 0;
     static constexpr std::uint8_t kDirty = 1u << 1;
     static constexpr std::uint8_t kIo = 1u << 2;
 
     LlcConfig cfg_;
+    unsigned tagShift_ = 0;        ///< paddr >> tagShift_ = tag.
     std::unique_ptr<SliceHash> hash_;
     const XorFoldSliceHash *xorHash_ = nullptr; ///< hash_ downcast, or null.
     std::unique_ptr<InjectionPolicy> policy_;
@@ -221,7 +224,7 @@ class Llc
     bool ioCapUniform_ = true;
     std::unique_ptr<ReplacementPolicy> repl_;
     LruPolicy *lru_ = nullptr;     ///< repl_ downcast, or null.
-    std::vector<Addr> tags_;       ///< totalSets x ways block addrs.
+    std::vector<std::uint32_t> tags_; ///< totalSets x ways tags.
     std::vector<std::uint8_t> meta_; ///< totalSets x ways flag bytes.
     std::vector<std::uint8_t> ioLines_; ///< Valid I/O lines per set.
     LlcStats stats_;
@@ -239,15 +242,33 @@ class Llc
         return (m & (kValid | kIo)) == (kValid | kIo) ? 1u : 0u;
     }
 
-    /** Set the flags of @p way in @p gset, keeping ioLines_ exact. */
+    /**
+     * Set the flags of @p way in @p gset, keeping ioLines_ exact and
+     * marking the tag of a line the flags invalidate.
+     */
     void
     setMeta(std::size_t gset, unsigned way, std::uint8_t flags)
     {
-        std::uint8_t &m = meta_[lineIndex(gset, way)];
+        const std::size_t i = lineIndex(gset, way);
+        std::uint8_t &m = meta_[i];
         ioLines_[gset] = static_cast<std::uint8_t>(
             ioLines_[gset] + isIo(flags) - isIo(m));
         m = flags;
+        if (!(flags & kValid))
+            tags_[i] = kNoTag;
     }
+
+    /** Tag of @p paddr; fatal unless it is below kNoTag. */
+    std::uint32_t
+    tagOf(Addr paddr) const
+    {
+        const Addr tag = paddr >> tagShift_;
+        if (tag >= kNoTag)
+            tagTooWide(paddr);
+        return static_cast<std::uint32_t>(tag);
+    }
+
+    [[noreturn]] static void tagTooWide(Addr paddr);
 
     // Devirtualized replacement-policy calls: LruPolicy is final, so
     // these inline completely for the default policy.
@@ -283,8 +304,8 @@ class Llc
         return ioCapUniform_ ? uniformIoCap_ : policy_->ioCap(gset);
     }
 
-    /** Find the way caching @p block in @p gset, or -1. */
-    int findWay(std::size_t gset, Addr block) const;
+    /** Find the way caching @p tag in @p gset, or -1. */
+    int findWay(std::size_t gset, std::uint32_t tag) const;
 
     /** First invalid way in @p gset, or -1. */
     int findInvalid(std::size_t gset) const;
@@ -296,17 +317,17 @@ class Llc
     void evict(std::size_t gset, unsigned way, bool filler_is_io);
 
     /** Handle a CPU-side miss fill; returns the way filled. */
-    unsigned cpuFill(std::size_t gset, Addr block, bool dirty);
+    unsigned cpuFill(std::size_t gset, std::uint32_t tag, bool dirty);
 
     /**
      * The shared cpuRead/cpuWrite miss tail: fill, then report the
      * miss -- and any I/O line the fill displaced -- to telemetry.
      */
-    void cpuMissFill(std::size_t gset, Addr block, bool dirty,
+    void cpuMissFill(std::size_t gset, std::uint32_t tag, bool dirty,
                      Cycles now);
 
     /** Handle a DDIO allocation. */
-    void ioFill(std::size_t gset, Addr block);
+    void ioFill(std::size_t gset, std::uint32_t tag);
 };
 
 } // namespace pktchase::cache

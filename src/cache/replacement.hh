@@ -58,19 +58,30 @@ class ReplacementPolicy
  * per-access touch/victim calls on the default policy devirtualize
  * and inline (they are the hottest calls in the simulator after the
  * event loop).
+ *
+ * Stamps are 32 bits. Before the clock would reach the all-ones
+ * stamp, every set's stamps are renumbered to their ranks within the
+ * set. Victims only compare stamps within one set, so they stay
+ * exactly those of unbounded stamps.
  */
 class LruPolicy final : public ReplacementPolicy
 {
   public:
-    LruPolicy(std::size_t sets, unsigned ways)
-        : ways_(ways), stamps_(sets * ways, 0)
+    /**
+     * @param clock First stamp handed out (>= 1). Tests start it near
+     *              the 2^32 wrap.
+     */
+    LruPolicy(std::size_t sets, unsigned ways, std::uint32_t clock = 1)
+        : ways_(ways), clock_(clock), stamps_(sets * ways, 0)
     {
     }
 
     void
     touch(std::size_t set, unsigned way) override
     {
-        stamps_[set * ways_ + way] = clock_++;
+        stamps_[set * ways_ + way] = clock_;
+        if (++clock_ == kLastStamp)
+            renumber();
     }
 
     unsigned
@@ -79,12 +90,12 @@ class LruPolicy final : public ReplacementPolicy
         if (mask == 0)
             panicEmptyMask();
         unsigned best_way = 0;
-        std::uint64_t best_stamp = ~0ull;
-        const std::uint64_t *stamps = &stamps_[set * ways_];
+        std::uint32_t best_stamp = kLastStamp;
+        const std::uint32_t *stamps = &stamps_[set * ways_];
         for (unsigned w = 0; w < ways_; ++w) {
             if (!(mask & (WayMask(1) << w)))
                 continue;
-            const std::uint64_t s = stamps[w];
+            const std::uint32_t s = stamps[w];
             if (s < best_stamp) {
                 best_stamp = s;
                 best_way = w;
@@ -102,11 +113,17 @@ class LruPolicy final : public ReplacementPolicy
     const char *name() const override { return "lru"; }
 
   private:
+    /** Never handed out, so it exceeds every stored stamp. */
+    static constexpr std::uint32_t kLastStamp = ~std::uint32_t(0);
+
     [[noreturn]] static void panicEmptyMask();
 
+    /** Replace each set's nonzero stamps by their ranks 1..ways. */
+    void renumber();
+
     unsigned ways_;
-    std::uint64_t clock_ = 1;
-    std::vector<std::uint64_t> stamps_; ///< sets x ways, 0 == never used.
+    std::uint32_t clock_;
+    std::vector<std::uint32_t> stamps_; ///< sets x ways, 0 == never used.
 };
 
 /** Tree pseudo-LRU (binary decision tree per set). */

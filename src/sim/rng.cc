@@ -98,10 +98,18 @@ Rng::nextGaussian()
         u1 = nextDouble();
     } while (u1 <= 0.0);
     const double u2 = nextDouble();
-    const double mag = std::sqrt(-2.0 * std::log(u1));
-    cachedGaussian_ = mag * std::sin(2.0 * M_PI * u2);
+    const GaussianPair g = boxMuller(u1, u2);
+    cachedGaussian_ = g.second;
     hasCachedGaussian_ = true;
-    return mag * std::cos(2.0 * M_PI * u2);
+    return g.first;
+}
+
+Rng::GaussianPair
+Rng::boxMuller(double u1, double u2)
+{
+    const double mag = std::sqrt(-2.0 * std::log(u1));
+    return {mag * std::cos(2.0 * M_PI * u2),
+            mag * std::sin(2.0 * M_PI * u2)};
 }
 
 double
@@ -120,39 +128,6 @@ Rng::nextExponential(double lambda)
         u = nextDouble();
     } while (u <= 0.0);
     return -std::log(u) / lambda;
-}
-
-std::uint64_t
-Rng::nextZipf(std::uint64_t n, double s)
-{
-    if (n == 0)
-        panic("Rng::nextZipf requires n > 0");
-    // Rejection-inversion sampling (Hormann & Derflinger) is overkill for
-    // the workload model; a simple inverse-CDF walk over a cached harmonic
-    // sum would be O(n) per draw, so we use the standard approximation:
-    // draw u and invert the continuous Zipf CDF, then clamp. The
-    // normalizer hn depends only on (n, s), so it is memoized for the
-    // last pair asked for; callers draw long runs with the same pair.
-    const double u = 1.0 - nextDouble(); // (0, 1]
-    const double oneMinusS = 1.0 - s;
-    if (n != zipfN_ || s != zipfS_) {
-        zipfN_ = n;
-        zipfS_ = s;
-        zipfHn_ = s == 1.0
-            ? std::log(static_cast<double>(n) + 1.0)
-            : (std::pow(static_cast<double>(n) + 1.0, oneMinusS) - 1.0) /
-                oneMinusS;
-    }
-    const double hn = zipfHn_;
-    if (s == 1.0) {
-        const double x = std::exp(u * hn) - 1.0;
-        const auto k = static_cast<std::uint64_t>(x);
-        return std::min(k, n - 1);
-    }
-    const double x =
-        std::pow(u * hn * oneMinusS + 1.0, 1.0 / oneMinusS) - 1.0;
-    const auto k = static_cast<std::uint64_t>(x);
-    return std::min(k, n - 1);
 }
 
 Rng

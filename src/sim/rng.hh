@@ -46,17 +46,25 @@ class Rng
     /** Standard normal variate (Box-Muller with caching). */
     double nextGaussian();
 
+    /** The two variates Box-Muller makes from one uniform pair. */
+    struct GaussianPair
+    {
+        double first;  ///< mag * cos(2 pi u2): nextGaussian returns it.
+        double second; ///< mag * sin(2 pi u2): the cached one.
+    };
+
+    /**
+     * The Box-Muller transform nextGaussian applies to its uniforms
+     * u1 in (0, 1) and u2 in [0, 1). Callers that draw the uniforms
+     * themselves get nextGaussian's variates bit for bit from it.
+     */
+    static GaussianPair boxMuller(double u1, double u2);
+
     /** Normal variate with the given mean and standard deviation. */
     double nextGaussian(double mean, double sigma);
 
     /** Exponential variate with the given rate (lambda). */
     double nextExponential(double lambda);
-
-    /**
-     * Zipf-distributed rank in [0, n) with exponent s.
-     * Used for hot/cold working-set modelling in the server workload.
-     */
-    std::uint64_t nextZipf(std::uint64_t n, double s);
 
     /** Fisher-Yates shuffle of a vector in place. */
     template <typename T>
@@ -76,12 +84,6 @@ class Rng
     std::uint64_t state_[4];
     bool hasCachedGaussian_ = false;
     double cachedGaussian_ = 0.0;
-
-    // nextZipf's normalizer for the last (n, s) it was asked for;
-    // n == 0 (never a valid argument) marks the memo empty.
-    std::uint64_t zipfN_ = 0;
-    double zipfS_ = 0.0;
-    double zipfHn_ = 0.0;
 };
 
 } // namespace pktchase

@@ -17,6 +17,7 @@ LatencyResult::percentile(double p) const
 ServerWorkload::ServerWorkload(testbed::Testbed &tb,
                                const ServerConfig &cfg)
     : tb_(tb), cfg_(cfg), rng_(cfg.seed),
+      zipf_(cfg.hotPages, cfg.zipfExponent),
       appSpace_(tb.phys(), mem::Owner::Victim)
 {
     hotBase_ = appSpace_.mmap(cfg_.hotPages);
@@ -68,8 +69,7 @@ ServerWorkload::serveOne(Cycles now)
 
     // Application phase: object-store lookups (Zipf-hot) ...
     for (unsigned i = 0; i < cfg_.readsPerRequest; ++i) {
-        const Addr page = rng_.nextZipf(cfg_.hotPages,
-                                        cfg_.zipfExponent);
+        const Addr page = zipf_.draw(rng_);
         const Addr block = rng_.nextBounded(blocksPerPage);
         const Addr vaddr =
             hotBase_ + page * pageBytes + block * blockBytes;

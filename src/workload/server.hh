@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/zipf.hh"
 #include "testbed/testbed.hh"
 
 namespace pktchase::workload
@@ -101,6 +102,7 @@ class ServerWorkload
     testbed::Testbed &tb_;
     ServerConfig cfg_;
     Rng rng_;
+    ZipfSampler zipf_; ///< Object-store page ranks.
     mem::AddressSpace appSpace_;
     Addr hotBase_ = 0;
     Addr respBase_ = 0;

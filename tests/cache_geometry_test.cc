@@ -40,6 +40,7 @@ TEST(Geometry, TagAboveIndexBits)
     EXPECT_EQ(g.tag(0), 0u);
     EXPECT_EQ(g.tag(Addr(1) << 17), 1u); // 6 offset + 11 index bits
     EXPECT_EQ(g.tag((Addr(1) << 17) - 1), 0u);
+    EXPECT_EQ(g.indexBits(), 11u);
 }
 
 TEST(Geometry, PageAlignedCombosAre256)

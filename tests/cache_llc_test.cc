@@ -268,3 +268,28 @@ TEST(LlcDeath, BadDdioWaysFatal)
     EXPECT_EXIT(Llc(cfg, std::make_unique<IdentitySliceHash>(1, 0)),
                 ::testing::ExitedWithCode(1), "ddioWays");
 }
+
+TEST(LlcDeath, SetsPerSliceNotPowerOfTwoFatal)
+{
+    for (const unsigned sets : {0u, 48u}) {
+        LlcConfig cfg;
+        cfg.geom = Geometry{1, sets, 4};
+        EXPECT_EXIT(Llc(cfg, std::make_unique<IdentitySliceHash>(1, 0)),
+                    ::testing::ExitedWithCode(1), "geom.setsPerSlice")
+            << "setsPerSlice " << sets;
+    }
+}
+
+TEST(LlcDeath, TagWiderThan32BitsFatal)
+{
+    // 64 sets: the tag is paddr >> 12. All-ones marks invalid lines,
+    // so the widest cacheable tag is 0xfffffffe.
+    Llc llc = makeSmall();
+    const Addr widest = Addr(0xFFFFFFFEu) << 12;
+    EXPECT_FALSE(llc.cpuRead(widest, 0));
+    EXPECT_TRUE(llc.contains(widest));
+    EXPECT_EXIT(llc.cpuRead(widest + (Addr(1) << 12), 1),
+                ::testing::ExitedWithCode(1), "tag of 32 or more bits");
+    EXPECT_EXIT(llc.ioWrite(Addr(1) << 44, 1),
+                ::testing::ExitedWithCode(1), "tag of 32 or more bits");
+}

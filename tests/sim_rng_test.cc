@@ -6,10 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <set>
-#include <utility>
 
 #include "sim/rng.hh"
 
@@ -133,51 +131,6 @@ TEST(Rng, ExponentialMean)
     for (int i = 0; i < n; ++i)
         sum += rng.nextExponential(4.0);
     EXPECT_NEAR(sum / n, 0.25, 0.01);
-}
-
-TEST(Rng, ZipfInRangeAndSkewed)
-{
-    Rng rng(29);
-    const std::uint64_t n = 1000;
-    std::vector<unsigned> counts(n, 0);
-    for (int i = 0; i < 100000; ++i) {
-        const std::uint64_t k = rng.nextZipf(n, 1.0);
-        ASSERT_LT(k, n);
-        ++counts[k];
-    }
-    // Rank 0 must dominate the tail under any Zipf-like law.
-    EXPECT_GT(counts[0], counts[n - 1] * 5);
-    EXPECT_GT(counts[0], counts[100]);
-}
-
-TEST(Rng, ZipfMemoMatchesUnmemoizedFormula)
-{
-    // The server draws s = 0.6; interleaving (n, s) pairs makes a stale
-    // memoized normalizer show up as a wrong rank.
-    const auto reference = [](double u, std::uint64_t n, double s) {
-        double x = 0.0;
-        if (s == 1.0) {
-            const double hn = std::log(static_cast<double>(n) + 1.0);
-            x = std::exp(u * hn) - 1.0;
-        } else {
-            const double oneMinusS = 1.0 - s;
-            const double hn =
-                (std::pow(static_cast<double>(n) + 1.0, oneMinusS) - 1.0) /
-                oneMinusS;
-            x = std::pow(u * hn * oneMinusS + 1.0, 1.0 / oneMinusS) - 1.0;
-        }
-        return std::min(static_cast<std::uint64_t>(x), n - 1);
-    };
-    const std::pair<std::uint64_t, double> pairs[] = {
-        {1000, 0.6}, {4800, 0.6}, {1000, 1.0}};
-    Rng rng(41);
-    Rng twin(41);
-    for (int i = 0; i < 30000; ++i) {
-        const auto [n, s] = pairs[(i / 7) % 3];
-        const double u = 1.0 - twin.nextDouble();
-        ASSERT_EQ(rng.nextZipf(n, s), reference(u, n, s))
-            << "draw " << i << " n=" << n << " s=" << s;
-    }
 }
 
 TEST(Rng, ShuffleIsPermutation)
