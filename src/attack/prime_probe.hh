@@ -73,32 +73,26 @@ class PrimeProbeMonitor
     void replaceSet(std::size_t index, EvictionSet set);
 
     /** Number of monitored sets. */
-    std::size_t size() const { return sets_.size(); }
-
-    /** Read-only access to a monitored set. */
-    const EvictionSet &set(std::size_t i) const { return sets_[i]; }
+    std::size_t size() const { return setStart_.size() - 1; }
 
     /** Total timed loads issued (attack cost metric). */
     std::uint64_t timedLoads() const { return timedLoads_; }
 
   private:
-    /** Rebuild the flat line array from sets_. */
-    void rebuildLines();
-
     cache::Hierarchy &hier_;
-    std::vector<EvictionSet> sets_;
     Cycles missThreshold_;
     std::uint64_t timedLoads_ = 0;
 
-    // Structure-of-arrays mirror of sets_: every monitored line,
-    // concatenated in set order, with CSR-style per-set offsets. The
-    // walk loops (primeAll/probeAll/probeOne) iterate these flat
-    // arrays -- one contiguous stream of addresses instead of a
-    // pointer chase through per-set vectors -- in exactly the order
-    // the per-set walk used, so timestamps and RNG draws are
-    // unchanged. sets_ stays the source of truth for set() and
-    // replaceSet(), which rebuilds the mirror (rare: fallback path).
-    std::vector<Addr> lines_;
+    // Every monitored line as its LLC key (global set, tag), the sets
+    // concatenated in order, with CSR-style per-set offsets: set i is
+    // keys_[setStart_[i], setStart_[i + 1]). The keys are derived
+    // once, when a set is added -- that is where a too-wide tag is
+    // fatal -- so the walks (primeAll/probeAll/probeOne) hand
+    // contiguous key ranges to Hierarchy::timedWalk without hashing
+    // an address. The walk order is the per-set order, so timestamps
+    // and RNG draws are those of per-address timed reads. replaceSet
+    // splices one set's keys and shifts the later offsets.
+    std::vector<cache::LineKey> keys_;
     std::vector<std::size_t> setStart_; ///< size() + 1 offsets.
     ProbeSample sample_; ///< Reused by probeAll across rounds.
 };

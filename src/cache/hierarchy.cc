@@ -44,6 +44,14 @@ namespace pktchase::cache
 // x + B < 2, the result is 1. If B <= frac(x) < 1 - B, the result is
 // floor(x). Anything else, and any B >= 1/4, takes the exact path.
 // sigma = 0 adds exactly zero noise and needs no transform at all.
+//
+// timedWalk runs the same two steps, drawNoise then measure, in
+// chunks: it draws kWalkChunk reads' noise (pair uniforms, approximate
+// variates, outlier trials) ahead, then makes the chunk's LLC accesses
+// and rounds each latency. That is exact. A read's draws never depend
+// on whether it hit, and nothing but drawNoise reads noise_ -- the LLC's
+// hooks and telemetry have no path to it -- so drawing ahead takes
+// the same values in the same order as drawing after each access.
 
 namespace
 {
@@ -84,7 +92,7 @@ struct NoiseTables
     }
 };
 
-const NoiseTables &
+[[gnu::always_inline]] inline const NoiseTables &
 noiseTables()
 {
     static const NoiseTables tables;
@@ -92,7 +100,7 @@ noiseTables()
 }
 
 /** Approximate -2 ln(u) for u in [2^-53, 1); never negative. */
-double
+[[gnu::always_inline]] inline double
 approxMinus2Log(const NoiseTables &t, double u)
 {
     std::uint64_t bits = 0;
@@ -110,7 +118,7 @@ approxMinus2Log(const NoiseTables &t, double u)
 }
 
 /** Approximate (cos, sin)(2 pi u) for u in [0, 1). */
-void
+[[gnu::always_inline]] inline void
 approxCosSin(const NoiseTables &t, double u, double &c, double &s)
 {
     const double x = u * (1 << kTrigBits);
@@ -132,71 +140,121 @@ Hierarchy::Hierarchy(const LlcConfig &llc_cfg, const HierarchyConfig &cfg,
     : cfg_(cfg),
       llc_(std::make_unique<Llc>(llc_cfg, std::move(hash),
                                  std::move(policy))),
-      rng_(cfg.seed)
+      noise_{Rng(cfg.seed)}
 {
+    lat_.hit = static_cast<double>(cfg_.llcHitLatency);
+    lat_.miss = static_cast<double>(cfg_.dramLatency);
+    lat_.outlier = static_cast<double>(cfg_.outlierCycles);
+    lat_.outlierProb = cfg_.outlierProb;
+    lat_.sigma = cfg_.timerNoiseSigma;
     const double sigma = std::fabs(cfg_.timerNoiseSigma);
-    const double m =
-        static_cast<double>(std::max(cfg_.llcHitLatency, cfg_.dramLatency)) +
-        static_cast<double>(cfg_.outlierCycles) + 9.0 * sigma;
-    noiseBand_ = sigma * 0x1p-21 + m * 0x1p-50;
-    noiseExact_ = !(noiseBand_ < 0.25);
+    const double m = std::max(lat_.hit, lat_.miss) + lat_.outlier +
+        9.0 * sigma;
+    lat_.band = sigma * 0x1p-21 + m * 0x1p-50;
+    lat_.exact = !(lat_.band < 0.25);
+    lat_.approx = lat_.sigma != 0.0 && !lat_.exact;
+}
+
+[[gnu::always_inline]] inline Hierarchy::NoiseDraw
+Hierarchy::drawNoise(NoiseState &s, const LatencyModel &m)
+{
+    NoiseDraw d;
+    d.second = s.pairHalf;
+    s.pairHalf = !s.pairHalf;
+    if (!d.second) {
+        do {
+            s.u1 = s.rng.nextDouble();
+        } while (s.u1 <= 0.0);
+        s.u2 = s.rng.nextDouble();
+    }
+    d.u1 = s.u1;
+    d.u2 = s.u2;
+    d.outlier = s.rng.nextBool(m.outlierProb);
+    d.g = s.approxSecond;
+    if (m.approx && !d.second) {
+        const NoiseTables &t = noiseTables();
+        const double mag = std::sqrt(approxMinus2Log(t, s.u1));
+        double c = 0.0, sn = 0.0;
+        approxCosSin(t, s.u2, c, sn);
+        s.approxSecond = mag * sn;
+        d.g = mag * c;
+    }
+    return d;
+}
+
+[[gnu::always_inline]] inline Cycles
+Hierarchy::measure(const LatencyModel &m, bool hit, const NoiseDraw &noise,
+                   std::uint64_t &fallbacks)
+{
+    const double base = hit ? m.hit : m.miss;
+
+    if (m.sigma == 0.0) {
+        // sigma * g is exactly zero for the finite g Box-Muller makes.
+        double lat = base;
+        if (noise.outlier)
+            lat += m.outlier;
+        return static_cast<Cycles>(std::max(lat, 1.0));
+    }
+
+    if (!m.exact) {
+        double lat = base + m.sigma * noise.g;
+        if (noise.outlier)
+            lat += m.outlier;
+        if (lat + m.band < 2.0)
+            return 1;
+        const auto whole = static_cast<Cycles>(lat);
+        const double frac = lat - static_cast<double>(whole);
+        if (frac >= m.band && frac + m.band < 1.0)
+            return whole;
+        ++fallbacks;
+    }
+
+    // nextGaussian(0.0, sigma)'s arithmetic, so the result is exact.
+    const Rng::GaussianPair g = Rng::boxMuller(noise.u1, noise.u2);
+    double lat = base;
+    lat += 0.0 + m.sigma * (noise.second ? g.second : g.first);
+    if (noise.outlier)
+        lat += m.outlier;
+    lat = std::max(lat, 1.0);
+    return static_cast<Cycles>(lat);
 }
 
 Cycles
 Hierarchy::timedRead(Addr paddr, Cycles now)
 {
     const bool hit = llc_->cpuRead(paddr, now);
-    const double base = hit ? static_cast<double>(cfg_.llcHitLatency)
-                            : static_cast<double>(cfg_.dramLatency);
-    const bool second = pairHalf_;
-    pairHalf_ = !pairHalf_;
-    if (!second) {
-        do {
-            u1_ = rng_.nextDouble();
-        } while (u1_ <= 0.0);
-        u2_ = rng_.nextDouble();
-    }
-    const bool outlier = rng_.nextBool(cfg_.outlierProb);
-    const double sigma = cfg_.timerNoiseSigma;
+    return measure(lat_, hit, drawNoise(noise_, lat_), noiseFallbacks_);
+}
 
-    if (sigma == 0.0) {
-        // sigma * g is exactly zero for the finite g Box-Muller makes.
-        double lat = base;
-        if (outlier)
-            lat += static_cast<double>(cfg_.outlierCycles);
-        return static_cast<Cycles>(std::max(lat, 1.0));
-    }
-
-    if (!noiseExact_) {
-        double g = approxSecond_;
-        if (!second) {
-            const NoiseTables &t = noiseTables();
-            const double mag = std::sqrt(approxMinus2Log(t, u1_));
-            double c = 0.0, s = 0.0;
-            approxCosSin(t, u2_, c, s);
-            approxSecond_ = mag * s;
-            g = mag * c;
+Cycles
+Hierarchy::timedWalk(const LineKey *keys, std::size_t n, Cycles t,
+                     Cycles threshold, unsigned &misses)
+{
+    // Local copies: no LLC access below can reach them, so they stay
+    // in registers across the accesses.
+    const LatencyModel m = lat_;
+    NoiseState state = noise_;
+    std::uint64_t fallbacks = noiseFallbacks_;
+    unsigned over = 0;
+    NoiseDraw noise[kWalkChunk];
+    for (std::size_t done = 0; done < n;) {
+        const std::size_t len = std::min(kWalkChunk, n - done);
+        for (std::size_t i = 0; i < len; ++i)
+            noise[i] = drawNoise(state, m);
+        const LineKey *chunk = keys + done;
+        for (std::size_t i = 0; i < len; ++i) {
+            const bool hit = llc_->cpuReadAt(chunk[i].gset, chunk[i].tag, t);
+            const Cycles lat = measure(m, hit, noise[i], fallbacks);
+            t += lat;
+            if (lat > threshold)
+                ++over;
         }
-        double lat = base + sigma * g;
-        if (outlier)
-            lat += static_cast<double>(cfg_.outlierCycles);
-        if (lat + noiseBand_ < 2.0)
-            return 1;
-        const auto whole = static_cast<Cycles>(lat);
-        const double frac = lat - static_cast<double>(whole);
-        if (frac >= noiseBand_ && frac + noiseBand_ < 1.0)
-            return whole;
-        ++noiseFallbacks_;
+        done += len;
     }
-
-    // nextGaussian(0.0, sigma)'s arithmetic, so the result is exact.
-    const Rng::GaussianPair g = Rng::boxMuller(u1_, u2_);
-    double lat = base;
-    lat += 0.0 + sigma * (second ? g.second : g.first);
-    if (outlier)
-        lat += static_cast<double>(cfg_.outlierCycles);
-    lat = std::max(lat, 1.0);
-    return static_cast<Cycles>(lat);
+    noise_ = state;
+    noiseFallbacks_ = fallbacks;
+    misses += over;
+    return t;
 }
 
 bool

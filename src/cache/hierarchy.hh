@@ -74,6 +74,23 @@ class Hierarchy
      */
     Cycles timedRead(Addr paddr, Cycles now);
 
+    /** Reads per timedWalk chunk: the noise is drawn a chunk ahead. */
+    static constexpr std::size_t kWalkChunk = 64;
+
+    /**
+     * Back-to-back timed reads of the @p n lines @p keys (see
+     * Llc::lineKey), the first at @p t and each next one when the
+     * previous measurement ends. Read for read the same as timedRead
+     * on the keys' addresses: the same latencies, cache state and
+     * noise draws.
+     *
+     * @param misses Incremented per read whose latency exceeds
+     *               @p threshold.
+     * @return When the last read's measurement ends.
+     */
+    Cycles timedWalk(const LineKey *keys, std::size_t n, Cycles t,
+                     Cycles threshold, unsigned &misses);
+
     /**
      * Timed reads whose noise the fast path could not round with
      * certainty and that took the exact Box-Muller transform instead.
@@ -81,7 +98,7 @@ class Hierarchy
     std::uint64_t noiseFallbacks() const { return noiseFallbacks_; }
 
     /** The timer-noise generator (its state, for equivalence tests). */
-    const Rng &noiseRng() const { return rng_; }
+    const Rng &noiseRng() const { return noise_.rng; }
 
     /** Untimed CPU read (victim/driver activity). @return true on hit. */
     bool cpuRead(Addr paddr, Cycles now);
@@ -114,21 +131,58 @@ class Hierarchy
     const HierarchyConfig &config() const { return cfg_; }
 
   private:
+    /** cfg_'s latency and noise parameters, as the reads use them. */
+    struct LatencyModel
+    {
+        double hit = 0.0;         ///< llcHitLatency.
+        double miss = 0.0;        ///< dramLatency.
+        double outlier = 0.0;     ///< outlierCycles.
+        double outlierProb = 0.0;
+        double sigma = 0.0;       ///< timerNoiseSigma.
+        double band = 0.0;        ///< Bound on |approx - exact| latency.
+        bool exact = false;       ///< Band too wide: always transform.
+        bool approx = false;      ///< sigma != 0 and !exact.
+    };
+
+    // Timer noise. rng draws what rng.nextGaussian() followed by
+    // rng.nextBool() would: a fresh (u1, u2) pair on every other
+    // read, then the outlier trial. The pair state lives here so the
+    // noise can be rounded from an approximation (hierarchy.cc).
+    struct NoiseState
+    {
+        Rng rng;
+        bool pairHalf = false;     ///< The next read takes the sin half.
+        double u1 = 0.0;           ///< The current pair's uniforms.
+        double u2 = 0.0;
+        double approxSecond = 0.0; ///< Approximate sin-half variate.
+    };
+
+    /** One timed read's noise draws. */
+    struct NoiseDraw
+    {
+        double g;     ///< Approximate variate (used if approx).
+        double u1;    ///< The pair's uniforms, for the exact transform.
+        double u2;
+        bool second;  ///< The read takes the pair's sin half.
+        bool outlier; ///< The read takes an outlier spike.
+    };
+
+    // Static, so that timedWalk can run them on local copies of
+    // lat_, noise_ and noiseFallbacks_.
+
+    /** Draw the next read's noise from @p s. */
+    static NoiseDraw drawNoise(NoiseState &s, const LatencyModel &m);
+
+    /** The measured latency of a read that hit or missed. */
+    static Cycles measure(const LatencyModel &m, bool hit,
+                          const NoiseDraw &noise,
+                          std::uint64_t &fallbacks);
+
     HierarchyConfig cfg_;
     std::unique_ptr<Llc> llc_;
     DmaStats dma_;
-
-    // Timer noise. rng_ draws what rng_.nextGaussian() followed by
-    // rng_.nextBool() would: a fresh (u1, u2) pair on every other
-    // read, then the outlier trial. The pair state lives here so the
-    // noise can be rounded from an approximation (hierarchy.cc).
-    Rng rng_;
-    bool pairHalf_ = false;       ///< This read takes the pair's sin half.
-    double u1_ = 0.0;             ///< The current pair's uniforms.
-    double u2_ = 0.0;
-    double approxSecond_ = 0.0;   ///< Approximate sin-half variate.
-    double noiseBand_ = 0.0;      ///< Bound on |approx - exact| latency.
-    bool noiseExact_ = false;     ///< Band too wide: always transform.
+    LatencyModel lat_;
+    NoiseState noise_;
     std::uint64_t noiseFallbacks_ = 0;
 };
 

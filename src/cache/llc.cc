@@ -249,12 +249,10 @@ Llc::cpuMissFill(std::size_t gset, std::uint32_t tag, bool dirty,
 }
 
 bool
-Llc::cpuRead(Addr paddr, Cycles now)
+Llc::cpuReadAt(std::size_t gset, std::uint32_t tag, Cycles now)
 {
     ++stats_.cpuReads;
     obs::bump(obs::Stat::LlcAccesses);
-    const std::uint32_t tag = tagOf(paddr);
-    const std::size_t gset = globalSet(paddr);
     if (wantsOnAccess_)
         policy_->onAccess(*this, gset, now);
 

@@ -84,6 +84,18 @@ struct LlcStats
 };
 
 /**
+ * A line's precomputed LLC coordinates: its global set and 32-bit tag.
+ * Both are fixed for a given cache, so a walker that reads the same
+ * lines over and over (a PRIME+PROBE monitor) derives them once with
+ * Llc::lineKey and reads through Llc::cpuReadAt.
+ */
+struct LineKey
+{
+    std::uint32_t gset = 0;
+    std::uint32_t tag = 0;
+};
+
+/**
  * The sliced last-level cache.
  */
 class Llc
@@ -103,7 +115,26 @@ class Llc
      * CPU demand read of the block containing @p paddr.
      * @return true on hit.
      */
-    bool cpuRead(Addr paddr, Cycles now);
+    bool
+    cpuRead(Addr paddr, Cycles now)
+    {
+        return cpuReadAt(globalSet(paddr), tagOf(paddr), now);
+    }
+
+    /**
+     * cpuRead of the line with global set @p gset and tag @p tag (see
+     * lineKey): the same hooks, telemetry and statistics.
+     */
+    bool cpuReadAt(std::size_t gset, std::uint32_t tag, Cycles now);
+
+    /** The key of the block containing @p paddr; fatal if its tag
+     *  does not fit in 32 bits. */
+    LineKey
+    lineKey(Addr paddr) const
+    {
+        return {static_cast<std::uint32_t>(globalSet(paddr)),
+                tagOf(paddr)};
+    }
 
     /** CPU write (write-allocate, write-back). @return true on hit. */
     bool cpuWrite(Addr paddr, Cycles now);

@@ -218,7 +218,19 @@ struct ProfileBlock
     }
 };
 
-extern thread_local ProfileBlock *tlsProfile;
+/**
+ * The calling thread's block, nullptr while detached. Like
+ * obs::Stat's block it lives inside an inline function rather than as
+ * an extern thread_local: constant-initialized, the local compiles to
+ * a plain TLS access with no cross-TU init-wrapper call (and no
+ * wrapper for UBSan to trip over).
+ */
+inline ProfileBlock *&
+tlsProfile()
+{
+    static thread_local ProfileBlock *block = nullptr;
+    return block;
+}
 
 /** Span-open half of the hot path: push a frame for @p phaseId. */
 inline void
@@ -258,7 +270,7 @@ profileClose(ProfileBlock *p)
 inline bool
 profiling()
 {
-    return detail::tlsProfile != nullptr;
+    return detail::tlsProfile() != nullptr;
 }
 
 /**

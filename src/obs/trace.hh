@@ -242,7 +242,7 @@ class ScopedSpan
             cat_ = phase.cat();
             startMicros_ = b->nowMicros();
         }
-        if (detail::ProfileBlock *p = detail::tlsProfile) {
+        if (detail::ProfileBlock *p = detail::tlsProfile()) {
             prof_ = p;
             detail::profileOpen(p, phase.id());
         }
@@ -259,7 +259,7 @@ class ScopedSpan
             cat_ = phase.cat();
             startMicros_ = b->nowMicros();
         }
-        if (detail::ProfileBlock *p = detail::tlsProfile) {
+        if (detail::ProfileBlock *p = detail::tlsProfile()) {
             prof_ = p;
             detail::profileOpen(p, phase.id());
         }

@@ -19,12 +19,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -32,22 +26,6 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t s = seed;
     for (auto &word : state_)
         word = splitmix64(s);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-
-    return result;
 }
 
 std::uint64_t
@@ -72,18 +50,6 @@ Rng::nextRange(std::int64_t lo, std::int64_t hi)
     const std::uint64_t span =
         static_cast<std::uint64_t>(hi - lo) + 1;
     return lo + static_cast<std::int64_t>(nextBounded(span));
-}
-
-double
-Rng::nextDouble()
-{
-    return (next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::nextBool(double p)
-{
-    return nextDouble() < p;
 }
 
 double

@@ -29,7 +29,21 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+        const std::uint64_t t = state_[1] << 17;
+
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+
+        return result;
+    }
 
     /** Uniform integer in [0, bound); bound must be nonzero. */
     std::uint64_t nextBounded(std::uint64_t bound);
@@ -38,10 +52,10 @@ class Rng
     std::int64_t nextRange(std::int64_t lo, std::int64_t hi);
 
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double nextDouble() { return (next() >> 11) * 0x1.0p-53; }
 
     /** Bernoulli trial: true with probability p. */
-    bool nextBool(double p = 0.5);
+    bool nextBool(double p = 0.5) { return nextDouble() < p; }
 
     /** Standard normal variate (Box-Muller with caching). */
     double nextGaussian();
@@ -81,6 +95,12 @@ class Rng
     Rng split();
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t state_[4];
     bool hasCachedGaussian_ = false;
     double cachedGaussian_ = 0.0;

@@ -137,3 +137,71 @@ TEST_F(Fixture, DeathOnBadIndex)
     EXPECT_DEATH(mon.probeOne(5, 0, elapsed), "range");
     EXPECT_DEATH(mon.replaceSet(5, EvictionSet{}), "range");
 }
+
+TEST_F(Fixture, ReplaceSetSplicesLongerAndShorterSets)
+{
+    const unsigned ways = tb.config().llc.geom.ways;
+    PrimeProbeMonitor mon = makeMonitor({0, 1, 2});
+    // Combo 1's blocks 0 and 1 (two LLC sets, 2 x ways lines), then
+    // half an eviction set.
+    EvictionSet longer = tb.groups().evictionSetFor(1, ways);
+    const EvictionSet block1 = longer.atBlock(1);
+    longer.addrs.insert(longer.addrs.end(), block1.addrs.begin(),
+                        block1.addrs.end());
+    const EvictionSet shorter = tb.groups().evictionSetFor(1, ways / 2);
+
+    // A fresh victim page in combo 2 for every DMA write below.
+    const std::vector<Addr> &victims = tb.groups().groups[2];
+    ASSERT_GE(victims.size(), ways + 4u);
+    std::size_t victim = ways;
+
+    Cycles t = 0;
+    for (const EvictionSet &es : {longer, shorter}) {
+        const std::uint64_t loads = mon.timedLoads();
+        mon.replaceSet(1, es);
+        EXPECT_EQ(mon.size(), 3u);
+        EXPECT_EQ(mon.timedLoads(), loads);
+
+        // Sets 0 and 2 have ways lines each.
+        const std::uint64_t total = 2 * ways + es.addrs.size();
+        t += mon.primeAll(t) + 1000;
+        EXPECT_EQ(mon.timedLoads(), loads + total);
+        const ProbeSample &quiet = mon.probeAll(t);
+        t = quiet.end + 1000;
+        for (const auto a : quiet.active)
+            EXPECT_EQ(a, 0);
+
+        // A packet in combo 2, the set after the spliced one, shows
+        // up there and nowhere else.
+        tb.hier().dmaWrite(victims[victim++], 64, t);
+        const ProbeSample &hot = mon.probeAll(t + 1000);
+        t = hot.end + 1000;
+        EXPECT_EQ(hot.active[0], 0);
+        EXPECT_EQ(hot.active[1], 0);
+        EXPECT_EQ(hot.active[2], 1);
+
+        tb.hier().dmaWrite(victims[victim++], 64, t);
+        Cycles elapsed = 0;
+        EXPECT_EQ(mon.probeOne(0, t + 1000, elapsed), 0u);
+        t += 1000 + elapsed;
+        EXPECT_GE(mon.probeOne(2, t, elapsed), 1u);
+        t += elapsed;
+        EXPECT_EQ(mon.probeOne(1, t, elapsed), 0u);
+        t += elapsed;
+        // One prime, two rounds, and each set probed once more.
+        EXPECT_EQ(mon.timedLoads(), loads + 4 * total);
+    }
+}
+
+TEST_F(Fixture, DeathOnTagTooWideForKeys)
+{
+    // A tag of 32 or more bits has no LineKey: the monitor rejects it
+    // when it derives the keys, not on some later read.
+    const cache::Geometry &g = tb.config().llc.geom;
+    const Addr wide = Addr{0xffffffffu} << (blockShift + g.indexBits());
+    EXPECT_DEATH(PrimeProbeMonitor(tb.hier(), {EvictionSet{{wide}}}, 130),
+                 "32 or more bits");
+    PrimeProbeMonitor mon = makeMonitor({0});
+    EXPECT_DEATH(mon.replaceSet(0, EvictionSet{{0x1000, wide}}),
+                 "32 or more bits");
+}

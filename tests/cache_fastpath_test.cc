@@ -2,8 +2,9 @@
  * @file
  * The memory model's fast paths against test-local copies of the code
  * they replaced: timedRead's libm-free noise rounding against the
- * Rng::nextGaussian + nextBool expression, and 32-bit LRU stamps
- * against 64-bit ones across the clock wrap.
+ * Rng::nextGaussian + nextBool expression, timedWalk's keyed,
+ * draw-ahead walk against per-address timedRead, and 32-bit LRU
+ * stamps against 64-bit ones across the clock wrap.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "cache/hierarchy.hh"
+#include "cache/injection_policy.hh"
 #include "cache/replacement.hh"
 
 using namespace pktchase;
@@ -44,6 +46,82 @@ referenceLatency(Rng &rng, const HierarchyConfig &cfg, bool hit)
         lat += static_cast<double>(cfg.outlierCycles);
     lat = std::max(lat, 1.0);
     return static_cast<Cycles>(lat);
+}
+
+/** Telemetry that folds every event, in order, into one hash. */
+class HashingTelemetry : public LlcTelemetry
+{
+  public:
+    void
+    cpuAccess(unsigned group, bool hit, Cycles now) override
+    {
+        mix(1, group, hit, now);
+    }
+
+    void
+    ioInjection(unsigned group, bool displaced_cpu_line,
+                Cycles now) override
+    {
+        mix(2, group, displaced_cpu_line, now);
+    }
+
+    void
+    ioLineConflict(unsigned group, Cycles now) override
+    {
+        mix(3, group, false, now);
+    }
+
+    std::uint64_t hash = 0;
+    std::uint64_t events = 0;
+
+  private:
+    void
+    mix(std::uint64_t kind, unsigned group, bool flag, Cycles now)
+    {
+        for (const std::uint64_t v :
+             {kind, std::uint64_t{group}, std::uint64_t{flag}, now})
+            hash = (hash ^ v) * 0x100000001B3ull;
+        ++events;
+    }
+};
+
+/** A 2-slice LLC small enough that the walks below conflict in it. */
+Hierarchy
+makeWalker(double sigma, bool adaptive)
+{
+    LlcConfig llc;
+    llc.geom = Geometry{2, 32, 4};
+    HierarchyConfig cfg;
+    cfg.timerNoiseSigma = sigma;
+    cfg.outlierProb = 0.01;
+    cfg.seed = 23;
+    std::unique_ptr<InjectionPolicy> policy;
+    if (adaptive)
+        policy = std::make_unique<AdaptivePartitionPolicy>();
+    return Hierarchy(llc, cfg,
+                     std::make_unique<IdentitySliceHash>(2, 11),
+                     std::move(policy));
+}
+
+void
+expectSameStats(const LlcStats &a, const LlcStats &b)
+{
+    EXPECT_EQ(a.cpuReads, b.cpuReads);
+    EXPECT_EQ(a.cpuReadMisses, b.cpuReadMisses);
+    EXPECT_EQ(a.cpuWrites, b.cpuWrites);
+    EXPECT_EQ(a.cpuWriteMisses, b.cpuWriteMisses);
+    EXPECT_EQ(a.ioWrites, b.ioWrites);
+    EXPECT_EQ(a.ioWriteHits, b.ioWriteHits);
+    EXPECT_EQ(a.ioAllocations, b.ioAllocations);
+    EXPECT_EQ(a.cpuEvictedByCpu, b.cpuEvictedByCpu);
+    EXPECT_EQ(a.cpuEvictedByIo, b.cpuEvictedByIo);
+    EXPECT_EQ(a.ioEvictedByCpu, b.ioEvictedByCpu);
+    EXPECT_EQ(a.ioEvictedByIo, b.ioEvictedByIo);
+    EXPECT_EQ(a.writebacks, b.writebacks);
+    EXPECT_EQ(a.memReads, b.memReads);
+    EXPECT_EQ(a.invalidations, b.invalidations);
+    EXPECT_EQ(a.partitionAdaptations, b.partitionAdaptations);
+    EXPECT_EQ(a.partitionInvalidations, b.partitionInvalidations);
 }
 
 /** The 64-bit-stamp LRU the 32-bit one replaced. */
@@ -146,6 +224,95 @@ TEST(TimedRead, GuardBandTakesExactTransform)
     EXPECT_EQ(h.timedRead(0x1000, 1),
               referenceLatency(ref, h.config(), true));
 }
+
+struct WalkCase
+{
+    double sigma;
+    bool adaptive;
+};
+
+class TimedWalkTwin : public ::testing::TestWithParam<WalkCase>
+{
+};
+
+TEST_P(TimedWalkTwin, MatchesPerAddressTimedRead)
+{
+    const WalkCase wc = GetParam();
+    Hierarchy reads = makeWalker(wc.sigma, wc.adaptive);
+    Hierarchy walks = makeWalker(wc.sigma, wc.adaptive);
+    HashingTelemetry reads_telem;
+    HashingTelemetry walks_telem;
+    reads.llc().attachTelemetry(&reads_telem);
+    walks.llc().attachTelemetry(&walks_telem);
+
+    constexpr std::size_t chunk = Hierarchy::kWalkChunk;
+    // Empty, single, around one chunk, and odd lengths, so a
+    // Box-Muller pair straddles two walks.
+    const std::size_t lengths[] = {0, 1, chunk - 1, chunk, chunk + 1,
+                                   3, 2 * chunk + 1, 7, 0, 1, 5};
+    const Cycles threshold = 130;
+    Rng addrs(5);
+    Cycles t = 0;
+    for (int round = 0; round < 400; ++round) {
+        for (const std::size_t n : lengths) {
+            // 640 blocks over a 256-line cache: hits and misses.
+            std::vector<Addr> lines(n);
+            std::vector<LineKey> keys(n);
+            for (std::size_t i = 0; i < n; ++i) {
+                lines[i] = addrs.nextBounded(640) * blockBytes;
+                keys[i] = walks.llc().lineKey(lines[i]);
+            }
+            Cycles t_reads = t;
+            unsigned reads_misses = 0;
+            for (const Addr a : lines) {
+                const Cycles lat = reads.timedRead(a, t_reads);
+                t_reads += lat;
+                if (lat > threshold)
+                    ++reads_misses;
+            }
+            unsigned walks_misses = 0;
+            const Cycles t_walks = walks.timedWalk(keys.data(), n, t,
+                                                   threshold, walks_misses);
+            ASSERT_EQ(t_walks, t_reads)
+                << "round " << round << " length " << n;
+            ASSERT_EQ(walks_misses, reads_misses)
+                << "round " << round << " length " << n;
+            // DMA between walks: I/O lines for the walks to displace.
+            const Addr dma = addrs.nextBounded(640) * blockBytes;
+            reads.dmaWrite(dma, 2 * blockBytes, t_reads);
+            walks.dmaWrite(dma, 2 * blockBytes, t_walks);
+            t = t_walks + 1;
+        }
+    }
+
+    expectSameStats(walks.llc().stats(), reads.llc().stats());
+    EXPECT_GT(reads.llc().stats().cpuReadMisses, 0u);
+    EXPECT_GT(reads.llc().stats().cpuReads,
+              reads.llc().stats().cpuReadMisses);
+    EXPECT_EQ(walks.noiseFallbacks(), reads.noiseFallbacks());
+    EXPECT_EQ(walks_telem.events, reads_telem.events);
+    EXPECT_EQ(walks_telem.hash, reads_telem.hash);
+    Rng walks_rng = walks.noiseRng();
+    Rng reads_rng = reads.noiseRng();
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(walks_rng.next(), reads_rng.next());
+    if (wc.sigma == 64.0) {
+        // The walk's guard band reached the exact transform.
+        EXPECT_GT(walks.noiseFallbacks(), 0u);
+    }
+    if (wc.adaptive) {
+        EXPECT_GT(reads.llc().stats().partitionAdaptations, 0u);
+    }
+}
+
+// sigma = 2^20 widens the guard band past 1/4: every read takes the
+// exact transform.
+INSTANTIATE_TEST_SUITE_P(
+    Sigmas, TimedWalkTwin,
+    ::testing::Values(WalkCase{0.0, false}, WalkCase{4.0, false},
+                      WalkCase{64.0, false}, WalkCase{0x1p20, false},
+                      WalkCase{0.0, true}, WalkCase{4.0, true},
+                      WalkCase{64.0, true}, WalkCase{0x1p20, true}));
 
 TEST(Lru, VictimsMatchU64StampsAcrossClockWrap)
 {
