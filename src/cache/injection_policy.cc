@@ -8,16 +8,30 @@
 namespace pktchase::cache
 {
 
+namespace
+{
+
+void
+checkDdioWays(const Llc &llc, const char *policy)
+{
+    if (kDdioWays > llc.geometry().ways) {
+        fatal(std::string(policy) + ": the " + std::to_string(kDdioWays) +
+              " DDIO ways exceed the set's ways");
+    }
+}
+
+} // namespace
+
 void
 NoDdioPolicy::init(Llc &llc)
 {
-    cap_ = llc.config().ddioWays;
+    checkDdioWays(llc, "NoDdioPolicy");
 }
 
 void
 DdioPolicy::init(Llc &llc)
 {
-    cap_ = llc.config().ddioWays;
+    checkDdioWays(llc, "DdioPolicy");
 }
 
 DdioWaysPolicy::DdioWaysPolicy(unsigned ways)
@@ -40,29 +54,25 @@ DdioWaysPolicy::init(Llc &llc)
         fatal("DdioWaysPolicy: ddio-ways exceeds the set's ways");
 }
 
+static_assert(AdaptivePartitionPolicy::kIoLinesMin > 0 &&
+              AdaptivePartitionPolicy::kIoLinesMin <=
+                  AdaptivePartitionPolicy::kIoLinesInit &&
+              AdaptivePartitionPolicy::kIoLinesInit <=
+                  AdaptivePartitionPolicy::kIoLinesMax &&
+              AdaptivePartitionPolicy::kAdaptPeriod > 0,
+              "adaptive partition tunables out of order");
+
 void
 AdaptivePartitionPolicy::init(Llc &llc)
 {
-    const LlcConfig &cfg = llc.config();
-    if (cfg.ioLinesMin == 0 || cfg.ioLinesMin > cfg.ioLinesMax ||
-        cfg.ioLinesMax >= cfg.geom.ways) {
-        fatal("Llc: bad adaptive partition bounds");
-    }
-    if (cfg.ioLinesInit < cfg.ioLinesMin ||
-        cfg.ioLinesInit > cfg.ioLinesMax) {
-        fatal("Llc: ioLinesInit outside [min, max]");
-    }
-    if (cfg.adaptPeriod == 0)
-        fatal("Llc: adaptPeriod must be nonzero");
+    const Geometry &geom = llc.geometry();
+    // The CPU side keeps at least one way at the largest partition.
+    if (kIoLinesMax >= geom.ways)
+        fatal("Llc: bad adaptive partition bounds for this associativity");
 
-    ways_ = cfg.geom.ways;
-    ioLinesMin_ = cfg.ioLinesMin;
-    ioLinesMax_ = cfg.ioLinesMax;
-    adaptPeriod_ = cfg.adaptPeriod;
-    tHigh_ = cfg.tHigh;
-    tLow_ = cfg.tLow;
-    part_.assign(cfg.geom.totalSets(), PartState{
-        static_cast<std::uint8_t>(cfg.ioLinesInit), 0, 0, 0});
+    ways_ = geom.ways;
+    part_.assign(geom.totalSets(), PartState{
+        static_cast<std::uint8_t>(kIoLinesInit), 0, 0, 0});
 }
 
 unsigned
@@ -77,12 +87,12 @@ AdaptivePartitionPolicy::adapt(Llc &llc, std::size_t gset)
     PartState &ps = part_[gset];
     llc.notePartitionAdaptation();
     const unsigned old_lines = ps.ioLines;
-    if (ps.presentAcc > tHigh_) {
+    if (ps.presentAcc > kTHigh) {
         ps.ioLines = static_cast<std::uint8_t>(
-            std::min<unsigned>(ps.ioLines + 1, ioLinesMax_));
-    } else if (ps.presentAcc < tLow_) {
+            std::min<unsigned>(ps.ioLines + 1, kIoLinesMax));
+    } else if (ps.presentAcc < kTLow) {
         ps.ioLines = static_cast<std::uint8_t>(
-            std::max<unsigned>(ps.ioLines - 1, ioLinesMin_));
+            std::max<unsigned>(ps.ioLines - 1, kIoLinesMin));
     }
     if (ps.ioLines != old_lines)
         enforce(llc, gset);
@@ -116,9 +126,9 @@ AdaptivePartitionPolicy::onAccess(Llc &llc, std::size_t gset,
     // constant over the catch-up span. The partition size saturates
     // after at most (max - min) same-direction adjustments, after which
     // further idle periods are no-ops and can be skipped in O(1).
-    unsigned budget = ioLinesMax_ - ioLinesMin_ + 1;
-    while (ps.periodStart + adaptPeriod_ <= now) {
-        const Cycles period_end = ps.periodStart + adaptPeriod_;
+    unsigned budget = kIoLinesMax - kIoLinesMin + 1;
+    while (ps.periodStart + kAdaptPeriod <= now) {
+        const Cycles period_end = ps.periodStart + kAdaptPeriod;
         const bool present = llc.ioCount(gset) > 0;
         if (present)
             ps.presentAcc += period_end - ps.lastUpdate;
@@ -134,9 +144,9 @@ AdaptivePartitionPolicy::onAccess(Llc &llc, std::size_t gset,
             // level; every further idle period repeats the same decision,
             // so whole periods can be skipped in O(1).
             const Cycles whole =
-                (now - ps.periodStart) / adaptPeriod_;
+                (now - ps.periodStart) / kAdaptPeriod;
             if (whole > 0) {
-                ps.periodStart += whole * adaptPeriod_;
+                ps.periodStart += whole * kAdaptPeriod;
                 ps.lastUpdate = ps.periodStart;
             }
         }

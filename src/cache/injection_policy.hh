@@ -42,6 +42,12 @@ namespace pktchase::cache
 
 class Llc;
 
+/**
+ * Max ways DDIO may allocate per set (Intel's ~10% guidance): the cap
+ * of the DDIO baseline and of the memory-first variant's I/O fills.
+ */
+inline constexpr unsigned kDdioWays = 2;
+
 /** Strategy interface for DMA injection into the LLC. */
 class InjectionPolicy
 {
@@ -91,29 +97,23 @@ class NoDdioPolicy : public InjectionPolicy
     std::string name() const override { return "cache.no-ddio"; }
     bool injectsToLlc() const override { return false; }
     void init(Llc &llc) override;
-    unsigned ioCap(std::size_t) const override { return cap_; }
-
-  private:
-    unsigned cap_ = 2;
+    unsigned ioCap(std::size_t) const override { return kDdioWays; }
 };
 
-/** Vulnerable baseline: DDIO with the configured per-set way cap. */
+/** Vulnerable baseline: DDIO with a kDdioWays per-set way cap. */
 class DdioPolicy : public InjectionPolicy
 {
   public:
     std::string name() const override { return "cache.ddio"; }
     bool injectsToLlc() const override { return true; }
     void init(Llc &llc) override;
-    unsigned ioCap(std::size_t) const override { return cap_; }
-
-  private:
-    unsigned cap_ = 2;
+    unsigned ioCap(std::size_t) const override { return kDdioWays; }
 };
 
 /**
- * DDIO restricted to exactly @p ways allocation ways per set,
- * overriding LlcConfig::ddioWays -- models real DDIO's fixed 2-way
- * allocation limit (and lets experiments sweep it).
+ * DDIO restricted to exactly @p ways allocation ways per set in place
+ * of kDdioWays -- models real DDIO's fixed 2-way allocation limit (and
+ * lets experiments sweep it).
  */
 class DdioWaysPolicy : public InjectionPolicy
 {
@@ -133,13 +133,21 @@ class DdioWaysPolicy : public InjectionPolicy
  * The Sec. VII adaptive I/O partitioning defense: a per-set I/O
  * partition size (io_lines) plus a per-set I/O-presence cycle counter;
  * every adaptation period the partition grows if presence exceeded
- * tHigh and shrinks if it stayed below tLow, invalidating displaced
+ * kTHigh and shrinks if it stayed below kTLow, invalidating displaced
  * blocks. With this policy an I/O fill can never evict a CPU line,
  * which closes the channel.
  */
 class AdaptivePartitionPolicy : public InjectionPolicy
 {
   public:
+    static constexpr unsigned kIoLinesMin = 1;    ///< Lower size bound.
+    static constexpr unsigned kIoLinesMax = 3;    ///< Upper size bound.
+    static constexpr unsigned kIoLinesInit = 2;   ///< Size at reset.
+    static constexpr Cycles kAdaptPeriod = 10000; ///< p in the paper.
+    /** Grow threshold, in cycles of I/O presence per period. */
+    static constexpr Cycles kTHigh = 5000;
+    static constexpr Cycles kTLow = 2000;         ///< Shrink threshold.
+
     std::string name() const override { return "cache.adaptive"; }
     bool injectsToLlc() const override { return true; }
     bool partitioned() const override { return true; }
@@ -159,13 +167,7 @@ class AdaptivePartitionPolicy : public InjectionPolicy
         Cycles presentAcc = 0;
     };
 
-    // Tuning parameters, copied from LlcConfig at init().
-    unsigned ways_ = 0;
-    unsigned ioLinesMin_ = 1;
-    unsigned ioLinesMax_ = 3;
-    Cycles adaptPeriod_ = 0;
-    Cycles tHigh_ = 0;
-    Cycles tLow_ = 0;
+    unsigned ways_ = 0; ///< Associativity, set at init().
 
     std::vector<PartState> part_;
 

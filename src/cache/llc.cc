@@ -14,7 +14,8 @@ Llc::Llc(const LlcConfig &cfg, std::unique_ptr<SliceHash> hash,
          std::unique_ptr<InjectionPolicy> policy)
     : cfg_(cfg), hash_(std::move(hash)),
       policy_(policy ? std::move(policy)
-                     : std::make_unique<DdioPolicy>())
+                     : std::make_unique<DdioPolicy>()),
+      lru_(cfg.geom.totalSets(), cfg.geom.ways)
 {
     if (!hash_)
         fatal("Llc requires a slice hash");
@@ -25,16 +26,12 @@ Llc::Llc(const LlcConfig &cfg, std::unique_ptr<SliceHash> hash,
         fatal("Llc: geom.setsPerSlice must be a nonzero power of two");
     if (cfg_.geom.ways > 32)
         fatal("Llc: way masks support at most 32 ways");
-    if (cfg_.ddioWays == 0 || cfg_.ddioWays > cfg_.geom.ways)
-        fatal("Llc: ddioWays out of range");
 
     tagShift_ = blockShift + cfg_.geom.indexBits();
     const std::size_t sets = cfg_.geom.totalSets();
     tags_.assign(sets * cfg_.geom.ways, kNoTag);
     meta_.assign(sets * cfg_.geom.ways, 0);
     ioLines_.assign(sets, 0);
-    repl_ = makeReplacement(cfg_.replacement, sets, cfg_.geom.ways,
-                            Rng(cfg_.seed));
     policy_->init(*this);
     partitioned_ = policy_->partitioned();
     wantsOnAccess_ = policy_->wantsOnAccess();
@@ -42,9 +39,8 @@ Llc::Llc(const LlcConfig &cfg, std::unique_ptr<SliceHash> hash,
     if (ioCapUniform_)
         uniformIoCap_ = policy_->ioCap(0);
 
-    // Concrete-type fast paths for the default configuration.
+    // Concrete-type fast path for the standard slice hash.
     xorHash_ = dynamic_cast<const XorFoldSliceHash *>(hash_.get());
-    lru_ = dynamic_cast<LruPolicy *>(repl_.get());
 }
 
 void
@@ -135,7 +131,7 @@ Llc::evict(std::size_t gset, unsigned way, bool filler_is_io)
             ++stats_.cpuEvictedByCpu;
     }
     setMeta(gset, way, static_cast<std::uint8_t>(m & ~(kValid | kDirty)));
-    replReset(gset, way);
+    lru_.reset(gset, way);
 }
 
 void
@@ -144,12 +140,12 @@ Llc::partitionDrop(std::size_t gset, bool io_side)
     const WayMask mask = kindMask(gset, io_side);
     if (mask == 0)
         panic("Llc::partitionDrop: no line of the requested kind");
-    const unsigned w = replVictim(gset, mask);
+    const unsigned w = lru_.victim(gset, mask);
     const std::uint8_t m = meta_[lineIndex(gset, w)];
     if (m & kDirty)
         ++stats_.writebacks;
     setMeta(gset, w, static_cast<std::uint8_t>(m & ~(kValid | kDirty)));
-    replReset(gset, w);
+    lru_.reset(gset, w);
     ++stats_.partitionInvalidations;
 }
 
@@ -167,7 +163,7 @@ Llc::cpuFill(std::size_t gset, std::uint32_t tag, bool dirty)
             static_cast<unsigned>(popcount64(cpu_mask));
         if (cpu_count >= cpu_quota) {
             // Partition full: displace another CPU line, never I/O.
-            way = static_cast<int>(replVictim(gset, cpu_mask));
+            way = static_cast<int>(lru_.victim(gset, cpu_mask));
             evict(gset, static_cast<unsigned>(way), false);
         } else {
             way = findInvalid(gset);
@@ -183,7 +179,7 @@ Llc::cpuFill(std::size_t gset, std::uint32_t tag, bool dirty)
             const WayMask all =
                 (cfg_.geom.ways >= 32) ? ~WayMask(0)
                 : ((WayMask(1) << cfg_.geom.ways) - 1);
-            way = static_cast<int>(replVictim(gset, all));
+            way = static_cast<int>(lru_.victim(gset, all));
             evict(gset, static_cast<unsigned>(way), false);
         }
     }
@@ -191,7 +187,7 @@ Llc::cpuFill(std::size_t gset, std::uint32_t tag, bool dirty)
     tags_[lineIndex(gset, static_cast<unsigned>(way))] = tag;
     setMeta(gset, static_cast<unsigned>(way),
             static_cast<std::uint8_t>(kValid | (dirty ? kDirty : 0)));
-    replTouch(gset, static_cast<unsigned>(way));
+    lru_.touch(gset, static_cast<unsigned>(way));
     return static_cast<unsigned>(way);
 }
 
@@ -200,14 +196,10 @@ Llc::ioFill(std::size_t gset, std::uint32_t tag)
 {
     ++stats_.ioAllocations;
     obs::bump(obs::Stat::LlcMisses);
-    const unsigned cap = ioCapOf(gset);
-    const WayMask io_mask = kindMask(gset, true);
-    const auto io_count = static_cast<unsigned>(popcount64(io_mask));
-
     int way = -1;
-    if (io_count >= cap) {
+    if (ioLines_[gset] >= ioCapOf(gset)) {
         // DDIO cap (or partition bound) reached: recycle an I/O line.
-        way = static_cast<int>(replVictim(gset, io_mask));
+        way = static_cast<int>(lru_.victim(gset, kindMask(gset, true)));
         evict(gset, static_cast<unsigned>(way), true);
     } else if (partitioned_) {
         // Defense: the partition guarantees a free slot for I/O.
@@ -216,14 +208,14 @@ Llc::ioFill(std::size_t gset, std::uint32_t tag)
             panic("Llc::ioFill: partition accounting broken");
     } else {
         // Baseline DDIO: take an invalid way if available, otherwise
-        // displace whatever the policy picks -- including CPU lines.
-        // This is the eviction the spy observes.
+        // displace the LRU line -- CPU lines included. This is the
+        // eviction the spy observes.
         way = findInvalid(gset);
         if (way < 0) {
             const WayMask all =
                 (cfg_.geom.ways >= 32) ? ~WayMask(0)
                 : ((WayMask(1) << cfg_.geom.ways) - 1);
-            way = static_cast<int>(replVictim(gset, all));
+            way = static_cast<int>(lru_.victim(gset, all));
             evict(gset, static_cast<unsigned>(way), true);
         }
     }
@@ -231,7 +223,7 @@ Llc::ioFill(std::size_t gset, std::uint32_t tag)
     tags_[lineIndex(gset, static_cast<unsigned>(way))] = tag;
     // DDIO lines are written back only on eviction.
     setMeta(gset, static_cast<unsigned>(way), kValid | kDirty | kIo);
-    replTouch(gset, static_cast<unsigned>(way));
+    lru_.touch(gset, static_cast<unsigned>(way));
 }
 
 void
@@ -258,7 +250,7 @@ Llc::cpuReadAt(std::size_t gset, std::uint32_t tag, Cycles now)
 
     const int way = findWay(gset, tag);
     if (way >= 0) {
-        replTouch(gset, static_cast<unsigned>(way));
+        lru_.touch(gset, static_cast<unsigned>(way));
         if (telem_)
             telem_->cpuAccess(sliceOf(gset), true, now);
         return true;
@@ -292,7 +284,7 @@ Llc::cpuWrite(Addr paddr, Cycles now)
                 ++stats_.writebacks;
             setMeta(gset, w,
                     static_cast<std::uint8_t>(m & ~(kValid | kDirty)));
-            replReset(gset, w);
+            lru_.reset(gset, w);
             ++stats_.invalidations;
             cpuFill(gset, tag, true);
             --stats_.memReads; // on-chip move, not a demand fill
@@ -303,7 +295,7 @@ Llc::cpuWrite(Addr paddr, Cycles now)
         // A CPU write to a DDIO line takes ownership (the driver copied
         // or consumed the packet); it is no longer an I/O line.
         setMeta(gset, w, static_cast<std::uint8_t>((m | kDirty) & ~kIo));
-        replTouch(gset, w);
+        lru_.touch(gset, w);
         if (telem_)
             telem_->cpuAccess(sliceOf(gset), true, now);
         return true;
@@ -337,12 +329,12 @@ Llc::ioWrite(Addr paddr, Cycles now)
             ++stats_.invalidations;
             setMeta(gset, w,
                     static_cast<std::uint8_t>(m & ~(kValid | kDirty)));
-            replReset(gset, w);
+            lru_.reset(gset, w);
             ioFill(gset, tag);
         } else {
             ++stats_.ioWriteHits;
             setMeta(gset, w, static_cast<std::uint8_t>(m | kDirty | kIo));
-            replTouch(gset, w);
+            lru_.touch(gset, w);
         }
         if (telem_ && stats_.ioAllocations != allocs0) {
             telem_->ioInjection(sliceOf(gset),
@@ -371,7 +363,7 @@ Llc::invalidateBlock(Addr paddr)
     const auto w = static_cast<unsigned>(way);
     const std::uint8_t m = meta_[lineIndex(gset, w)];
     setMeta(gset, w, static_cast<std::uint8_t>(m & ~(kValid | kDirty)));
-    replReset(gset, w);
+    lru_.reset(gset, w);
     ++stats_.invalidations;
 }
 
@@ -399,7 +391,7 @@ Llc::flushAll()
             if ((m & kValid) && (m & kDirty))
                 ++stats_.writebacks;
             m = 0;
-            replReset(gset, w);
+            lru_.reset(gset, w);
         }
     }
     std::fill(tags_.begin(), tags_.end(), kNoTag);

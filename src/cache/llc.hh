@@ -9,7 +9,7 @@
  *    lines).
  *  - DDIO I/O writes: the NIC's DMA transactions allocate directly in
  *    the LLC in dirty state, capped at the policy's per-set I/O bound
- *    (ddioWays for the baseline), but still able to evict CPU lines in
+ *    (kDdioWays for the baseline), but still able to evict CPU lines in
  *    the baseline -- the contention the whole attack rests on.
  *  - Non-DDIO DMA: writes go to memory and invalidate any cached copy;
  *    the driver's later header read demand-fetches.
@@ -30,31 +30,19 @@
 #include "cache/replacement.hh"
 #include "cache/slice_hash.hh"
 #include "cache/telemetry.hh"
-#include "sim/rng.hh"
 #include "sim/types.hh"
 
 namespace pktchase::cache
 {
 
-/** Configuration for an Llc instance. */
+/**
+ * Configuration for an Llc instance. Replacement is always LRU; the
+ * DDIO way cap and the partition tunables are the injection policies'
+ * constants (injection_policy.hh).
+ */
 struct LlcConfig
 {
     Geometry geom = Geometry::xeonE52660();
-    ReplacementKind replacement = ReplacementKind::Lru;
-
-    /** Max ways DDIO may allocate per set (Intel's ~10% guidance). */
-    unsigned ddioWays = 2;
-
-    // Tuning parameters for AdaptivePartitionPolicy (ignored by the
-    // static policies).
-    unsigned ioLinesMin = 1;     ///< Hard lower bound on partition size.
-    unsigned ioLinesMax = 3;     ///< Hard upper bound on partition size.
-    unsigned ioLinesInit = 2;    ///< Partition size at reset.
-    Cycles adaptPeriod = 10000;  ///< p in the paper.
-    Cycles tHigh = 5000;         ///< Grow threshold (cycles of presence).
-    Cycles tLow = 2000;          ///< Shrink threshold.
-
-    std::uint64_t seed = 1;      ///< Seed for the random policy, if used.
 };
 
 /** Event counters exposed by the Llc. */
@@ -102,7 +90,7 @@ class Llc
 {
   public:
     /**
-     * @param cfg    Geometry and policy configuration.
+     * @param cfg    Geometry.
      * @param hash   Slice selector; its slice count must match the
      *               geometry. Owned by the cache.
      * @param policy DMA injection policy; nullptr means the DDIO
@@ -181,12 +169,11 @@ class Llc
 
     /**
      * Current I/O partition size for @p gset: the injection policy's
-     * per-set cap (ddioWays for the static DDIO variants).
+     * per-set cap (kDdioWays for the DDIO baseline).
      */
     unsigned ioPartitionSize(std::size_t gset) const;
 
     const LlcStats &stats() const { return stats_; }
-    const LlcConfig &config() const { return cfg_; }
     const Geometry &geometry() const { return cfg_.geom; }
     const SliceHash &sliceHash() const { return *hash_; }
 
@@ -253,8 +240,7 @@ class Llc
     bool wantsOnAccess_ = false;   ///< Cached policy_->wantsOnAccess().
     unsigned uniformIoCap_ = 0;    ///< Cached cap when ioCapUniform().
     bool ioCapUniform_ = true;
-    std::unique_ptr<ReplacementPolicy> repl_;
-    LruPolicy *lru_ = nullptr;     ///< repl_ downcast, or null.
+    LruPolicy lru_;                ///< Recency of every line.
     std::vector<std::uint32_t> tags_; ///< totalSets x ways tags.
     std::vector<std::uint8_t> meta_; ///< totalSets x ways flag bytes.
     std::vector<std::uint8_t> ioLines_; ///< Valid I/O lines per set.
@@ -300,33 +286,6 @@ class Llc
     }
 
     [[noreturn]] static void tagTooWide(Addr paddr);
-
-    // Devirtualized replacement-policy calls: LruPolicy is final, so
-    // these inline completely for the default policy.
-    void
-    replTouch(std::size_t gset, unsigned way)
-    {
-        if (lru_)
-            lru_->touch(gset, way);
-        else
-            repl_->touch(gset, way);
-    }
-
-    unsigned
-    replVictim(std::size_t gset, WayMask mask)
-    {
-        return lru_ ? lru_->victim(gset, mask)
-                    : repl_->victim(gset, mask);
-    }
-
-    void
-    replReset(std::size_t gset, unsigned way)
-    {
-        if (lru_)
-            lru_->reset(gset, way);
-        else
-            repl_->reset(gset, way);
-    }
 
     /** Per-set I/O cap without the virtual call for uniform policies. */
     unsigned

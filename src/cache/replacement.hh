@@ -1,22 +1,18 @@
 /**
  * @file
- * Per-set replacement policies with masked victim selection.
+ * The LLC's LRU replacement with masked victim selection.
  *
  * Victim selection takes a candidate-way mask because both DDIO's
  * two-way write-allocation cap and the adaptive partitioning defense
- * (Sec. VII) restrict which ways a fill is allowed to displace. All
- * policies honour the mask; LRU is the default throughout the paper's
- * experiments.
+ * (Sec. VII) restrict which ways a fill is allowed to displace. LRU is
+ * the replacement the paper's experiments assume throughout.
  */
 
 #ifndef PKTCHASE_CACHE_REPLACEMENT_HH
 #define PKTCHASE_CACHE_REPLACEMENT_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
-
-#include "sim/rng.hh"
 
 namespace pktchase::cache
 {
@@ -25,46 +21,18 @@ namespace pktchase::cache
 using WayMask = std::uint32_t;
 
 /**
- * Abstract replacement policy covering all sets of one cache.
- */
-class ReplacementPolicy
-{
-  public:
-    virtual ~ReplacementPolicy() = default;
-
-    /** Record a reference to @p way of @p set. */
-    virtual void touch(std::size_t set, unsigned way) = 0;
-
-    /**
-     * Choose a victim among the candidate ways of @p set.
-     * @param set  Global set index.
-     * @param mask Candidate ways (must be nonzero).
-     * @return The chosen way.
-     */
-    virtual unsigned victim(std::size_t set, WayMask mask) = 0;
-
-    /** Invalidate bookkeeping for a way (e.g., after an invalidation). */
-    virtual void reset(std::size_t set, unsigned way) = 0;
-
-    /** Human-readable policy name. */
-    virtual const char *name() const = 0;
-};
-
-/**
- * True least-recently-used via per-line timestamps.
+ * True least-recently-used via per-line timestamps, covering all sets
+ * of one cache.
  *
- * The class is final and its methods are defined inline: the Llc
- * keeps a concrete LruPolicy pointer next to the abstract one so the
- * per-access touch/victim calls on the default policy devirtualize
- * and inline (they are the hottest calls in the simulator after the
- * event loop).
+ * touch/victim/reset are defined inline: they are the hottest calls in
+ * the simulator after the event loop.
  *
  * Stamps are 32 bits. Before the clock would reach the all-ones
  * stamp, every set's stamps are renumbered to their ranks within the
  * set. Victims only compare stamps within one set, so they stay
  * exactly those of unbounded stamps.
  */
-class LruPolicy final : public ReplacementPolicy
+class LruPolicy
 {
   public:
     /**
@@ -76,16 +44,22 @@ class LruPolicy final : public ReplacementPolicy
     {
     }
 
+    /** Record a reference to @p way of @p set. */
     void
-    touch(std::size_t set, unsigned way) override
+    touch(std::size_t set, unsigned way)
     {
         stamps_[set * ways_ + way] = clock_;
         if (++clock_ == kLastStamp)
             renumber();
     }
 
+    /**
+     * The least recently used of the candidate ways of @p set.
+     * @param set  Global set index.
+     * @param mask Candidate ways (must be nonzero).
+     */
     unsigned
-    victim(std::size_t set, WayMask mask) override
+    victim(std::size_t set, WayMask mask) const
     {
         if (mask == 0)
             panicEmptyMask();
@@ -104,13 +78,12 @@ class LruPolicy final : public ReplacementPolicy
         return best_way;
     }
 
+    /** Make @p way of @p set the oldest (after an eviction). */
     void
-    reset(std::size_t set, unsigned way) override
+    reset(std::size_t set, unsigned way)
     {
         stamps_[set * ways_ + way] = 0;
     }
-
-    const char *name() const override { return "lru"; }
 
   private:
     /** Never handed out, so it exceeds every stored stamp. */
@@ -125,54 +98,6 @@ class LruPolicy final : public ReplacementPolicy
     std::uint32_t clock_;
     std::vector<std::uint32_t> stamps_; ///< sets x ways, 0 == never used.
 };
-
-/** Tree pseudo-LRU (binary decision tree per set). */
-class TreePlruPolicy : public ReplacementPolicy
-{
-  public:
-    TreePlruPolicy(std::size_t sets, unsigned ways);
-
-    void touch(std::size_t set, unsigned way) override;
-    unsigned victim(std::size_t set, WayMask mask) override;
-    void reset(std::size_t set, unsigned way) override;
-    const char *name() const override { return "tree-plru"; }
-
-  private:
-    unsigned ways_;
-    unsigned treeWays_;   ///< ways_ rounded up to a power of two.
-    std::vector<std::uint8_t> bits_; ///< sets x (treeWays_ - 1) tree bits.
-
-    /** Whether any candidate way lies in [lo, hi) intersected with mask. */
-    bool anyCandidate(WayMask mask, unsigned lo, unsigned hi) const;
-};
-
-/** Uniform random victim among candidates. */
-class RandomPolicy : public ReplacementPolicy
-{
-  public:
-    RandomPolicy(std::size_t sets, unsigned ways, Rng rng);
-
-    void touch(std::size_t set, unsigned way) override;
-    unsigned victim(std::size_t set, WayMask mask) override;
-    void reset(std::size_t set, unsigned way) override;
-    const char *name() const override { return "random"; }
-
-  private:
-    Rng rng_;
-};
-
-/** Supported policy kinds for configuration. */
-enum class ReplacementKind
-{
-    Lru,
-    TreePlru,
-    Random,
-};
-
-/** Factory for a policy covering @p sets sets of @p ways ways. */
-std::unique_ptr<ReplacementPolicy>
-makeReplacement(ReplacementKind kind, std::size_t sets, unsigned ways,
-                Rng rng);
 
 } // namespace pktchase::cache
 

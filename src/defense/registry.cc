@@ -195,7 +195,7 @@ Registry::Registry()
              [](const Spec &) {
                  return std::make_unique<cache::NoDdioPolicy>();
              });
-    addCache("ddio", "DDIO baseline: inject at the configured way cap",
+    addCache("ddio", "DDIO baseline: inject into at most 2 ways per set",
              false, [](const Spec &) {
                  return std::make_unique<cache::DdioPolicy>();
              });
@@ -203,7 +203,8 @@ Registry::Registry()
              "DDIO restricted to exactly N allocation ways per set",
              true, [](const Spec &s) {
                  return std::make_unique<cache::DdioWaysPolicy>(
-                     s.hasParam ? static_cast<unsigned>(s.param) : 2u);
+                     s.hasParam ? static_cast<unsigned>(s.param)
+                                : cache::kDdioWays);
              });
     addCache("adaptive",
              "Sec. VII adaptive I/O cache partitioning", false,

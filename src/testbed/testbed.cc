@@ -36,7 +36,6 @@ TestbedConfig::reduced()
 {
     TestbedConfig cfg;
     cfg.llc.geom = cache::Geometry{2, 512, 8};
-    cfg.llc.ioLinesMax = 3;
     cfg.igb.ringSize = 32;
     cfg.builder.poolPages = 768;
     cfg.physBytes = Addr(32) << 20;

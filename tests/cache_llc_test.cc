@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/llc.hh"
+#include "sim/rng.hh"
 #include "llc_test_util.hh"
 
 using namespace pktchase;
@@ -18,12 +19,10 @@ namespace
 
 /** Small single-slice cache: set = (addr >> 6) & 63. */
 Llc
-makeSmall(unsigned ways = 4, unsigned ddio_ways = 2)
+makeSmall(unsigned ways = 4)
 {
-    LlcConfig cfg;
-    cfg.geom = Geometry{1, 64, ways};
-    cfg.ddioWays = ddio_ways;
-    return Llc(cfg, std::make_unique<IdentitySliceHash>(1, 0));
+    return Llc(singleSliceConfig(ways),
+               std::make_unique<IdentitySliceHash>(1, 0));
 }
 
 } // namespace
@@ -103,7 +102,7 @@ TEST(Llc, IoWriteAllocatesDirtyIoLine)
 
 TEST(Llc, DdioCapLimitsIoOccupancy)
 {
-    Llc llc = makeSmall(4, 2);
+    Llc llc = makeSmall(4);
     for (unsigned i = 0; i < 8; ++i)
         llc.ioWrite(addrOf(9, i), i);
     EXPECT_EQ(llc.ioCount(llc.globalSet(addrOf(9, 0))), 2u);
@@ -117,12 +116,38 @@ TEST(Llc, IoWriteEvictsCpuLineTheLeak)
 {
     // The Packet Chasing observable: a full set of CPU (spy) lines
     // loses one to an incoming packet.
-    Llc llc = makeSmall(4, 2);
+    Llc llc = makeSmall(4);
     for (unsigned i = 0; i < 4; ++i)
         llc.cpuRead(addrOf(11, i), i);
     llc.ioWrite(addrOf(11, 100), 10);
     EXPECT_EQ(llc.stats().cpuEvictedByIo, 1u);
     EXPECT_FALSE(llc.contains(addrOf(11, 0))); // LRU spy line gone
+}
+
+TEST(Llc, DdioAtCapRecyclesLeastRecentIoLine)
+{
+    // A full set: two old CPU lines, then I/O lines A and B at the
+    // two-line DDIO cap. Reads make A more recent than B.
+    Llc llc = makeSmall(4);
+    const Addr a = addrOf(13, 100), b = addrOf(13, 101);
+    llc.cpuRead(addrOf(13, 0), 0);
+    llc.cpuRead(addrOf(13, 1), 1);
+    llc.ioWrite(a, 2);
+    llc.ioWrite(b, 3);
+    llc.cpuRead(b, 4);
+    llc.cpuRead(a, 5);
+    const std::uint64_t cpu_by_io = llc.stats().cpuEvictedByIo;
+
+    // C must recycle the least recent I/O line, B, although the CPU
+    // lines are older still.
+    llc.ioWrite(addrOf(13, 102), 6);
+    EXPECT_FALSE(llc.contains(b));
+    EXPECT_TRUE(llc.containsIoLine(a));
+    EXPECT_TRUE(llc.containsIoLine(addrOf(13, 102)));
+    EXPECT_TRUE(llc.contains(addrOf(13, 0)));
+    EXPECT_TRUE(llc.contains(addrOf(13, 1)));
+    EXPECT_EQ(llc.stats().cpuEvictedByIo, cpu_by_io);
+    EXPECT_EQ(llc.stats().ioEvictedByIo, 1u);
 }
 
 TEST(Llc, IoWriteHitUpdatesInPlace)
@@ -220,7 +245,7 @@ TEST(Llc, StatsConservation)
     // Random traffic: misses == fills; every eviction is attributed;
     // the per-set I/O line count tracks every flag write, a mid-run
     // flush included.
-    Llc llc = makeSmall(4, 2);
+    Llc llc = makeSmall(4);
     Rng rng(7);
     for (int t = 0; t < 20000; ++t) {
         const Addr a = addrOf(static_cast<unsigned>(rng.nextBounded(64)),
@@ -262,11 +287,10 @@ TEST(LlcDeath, MismatchedHashFatal)
 
 TEST(LlcDeath, BadDdioWaysFatal)
 {
-    LlcConfig cfg;
-    cfg.geom = Geometry{1, 64, 4};
-    cfg.ddioWays = 5;
-    EXPECT_EXIT(Llc(cfg, std::make_unique<IdentitySliceHash>(1, 0)),
-                ::testing::ExitedWithCode(1), "ddioWays");
+    // The DDIO baseline's two ways do not fit a direct-mapped cache.
+    EXPECT_EXIT(Llc(singleSliceConfig(1),
+                    std::make_unique<IdentitySliceHash>(1, 0)),
+                ::testing::ExitedWithCode(1), "DDIO ways exceed");
 }
 
 TEST(LlcDeath, SetsPerSliceNotPowerOfTwoFatal)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/llc.hh"
+#include "sim/rng.hh"
 #include "llc_test_util.hh"
 
 using namespace pktchase;
@@ -17,24 +18,10 @@ using namespace pktchase::cache::llctest;
 namespace
 {
 
-LlcConfig
-partitionConfig(unsigned ways = 8)
-{
-    LlcConfig cfg;
-    cfg.geom = Geometry{1, 64, ways};
-    cfg.ioLinesMin = 1;
-    cfg.ioLinesMax = 3;
-    cfg.ioLinesInit = 2;
-    cfg.adaptPeriod = 10000;
-    cfg.tHigh = 5000;
-    cfg.tLow = 2000;
-    return cfg;
-}
-
 Llc
 makePartitioned(unsigned ways = 8)
 {
-    return Llc(partitionConfig(ways),
+    return Llc(singleSliceConfig(ways),
                std::make_unique<IdentitySliceHash>(1, 0),
                std::make_unique<AdaptivePartitionPolicy>());
 }
@@ -219,18 +206,8 @@ TEST(Partition, LongIdleGapHandledInConstantTime)
 
 TEST(PartitionDeath, BadBoundsFatal)
 {
-    LlcConfig cfg = partitionConfig();
-    cfg.ioLinesMin = 0;
-    EXPECT_EXIT(Llc(cfg, std::make_unique<IdentitySliceHash>(1, 0),
-                    std::make_unique<AdaptivePartitionPolicy>()),
-                ::testing::ExitedWithCode(1), "partition");
-}
-
-TEST(PartitionDeath, InitOutsideBoundsFatal)
-{
-    LlcConfig cfg = partitionConfig();
-    cfg.ioLinesInit = 5;
-    EXPECT_EXIT(Llc(cfg, std::make_unique<IdentitySliceHash>(1, 0),
-                    std::make_unique<AdaptivePartitionPolicy>()),
-                ::testing::ExitedWithCode(1), "ioLinesInit");
+    // The largest partition (3 I/O ways) would leave a 3-way set no
+    // CPU way.
+    EXPECT_EXIT(makePartitioned(3), ::testing::ExitedWithCode(1),
+                "partition");
 }

@@ -268,7 +268,7 @@ TEST(InjectionPolicy, DefaultIsDdioBaseline)
                    std::make_unique<cache::IdentitySliceHash>(1, 0));
     EXPECT_EQ(llc.injectionPolicy().name(), "cache.ddio");
     EXPECT_TRUE(llc.injectionPolicy().injectsToLlc());
-    EXPECT_EQ(llc.ioPartitionSize(0), cfg.ddioWays);
+    EXPECT_EQ(llc.ioPartitionSize(0), cache::kDdioWays);
 }
 
 // --------------------------------------------------------- assembly --

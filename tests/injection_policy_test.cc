@@ -11,32 +11,14 @@
 
 #include "cache/llc.hh"
 #include "defense/registry.hh"
+#include "llc_test_util.hh"
 
 using namespace pktchase;
 using namespace pktchase::cache;
+using namespace pktchase::cache::llctest;
 
 namespace
 {
-
-LlcConfig
-smallConfig(unsigned ways = 8)
-{
-    LlcConfig cfg;
-    cfg.geom = Geometry{1, 64, ways};
-    cfg.ioLinesMin = 1;
-    cfg.ioLinesMax = 3;
-    cfg.ioLinesInit = 2;
-    cfg.adaptPeriod = 10000;
-    cfg.tHigh = 5000;
-    cfg.tLow = 2000;
-    return cfg;
-}
-
-Addr
-addrOf(unsigned set, unsigned i)
-{
-    return (Addr(i) * 64 + set) * blockBytes;
-}
 
 /** Drive one I/O-heavy phase so the adaptive partition grows. */
 void
@@ -64,7 +46,7 @@ TEST(InjectionPolicyDeath, WaysBeyondAssociativityFatalAtBind)
 {
     // The policy alone cannot know the geometry; binding it to an
     // 8-way cache must fail loudly.
-    EXPECT_EXIT(Llc(smallConfig(8),
+    EXPECT_EXIT(Llc(singleSliceConfig(8),
                     std::make_unique<IdentitySliceHash>(1, 0),
                     std::make_unique<DdioWaysPolicy>(9)),
                 ::testing::ExitedWithCode(1),
@@ -73,7 +55,8 @@ TEST(InjectionPolicyDeath, WaysBeyondAssociativityFatalAtBind)
 
 TEST(InjectionPolicy, DdioWaysAtAssociativityIsAccepted)
 {
-    Llc llc(smallConfig(8), std::make_unique<IdentitySliceHash>(1, 0),
+    Llc llc(singleSliceConfig(8),
+            std::make_unique<IdentitySliceHash>(1, 0),
             std::make_unique<DdioWaysPolicy>(8));
     EXPECT_EQ(llc.ioPartitionSize(0), 8u);
 }
@@ -82,15 +65,16 @@ TEST(InjectionPolicy, AdaptiveStateResetsAcrossScenarios)
 {
     // Scenario 1: heavy I/O grows set 0's partition past its initial
     // size.
-    Llc first(smallConfig(), std::make_unique<IdentitySliceHash>(1, 0),
+    Llc first(singleSliceConfig(8),
+              std::make_unique<IdentitySliceHash>(1, 0),
               std::make_unique<AdaptivePartitionPolicy>());
     EXPECT_EQ(first.ioPartitionSize(0), 2u);
     growPartition(first);
     EXPECT_GT(first.ioPartitionSize(0), 2u);
 
     // Scenario 2: a fresh policy instance (as the registry hands out)
-    // starts from ioLinesInit again -- nothing carried over.
-    Llc second(smallConfig(),
+    // starts from kIoLinesInit again -- nothing carried over.
+    Llc second(singleSliceConfig(8),
                std::make_unique<IdentitySliceHash>(1, 0),
                std::make_unique<AdaptivePartitionPolicy>());
     EXPECT_EQ(second.ioPartitionSize(0), 2u);

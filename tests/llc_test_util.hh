@@ -16,6 +16,13 @@
 namespace pktchase::cache::llctest
 {
 
+/** The single-slice, 64-set configuration with @p ways ways. */
+inline LlcConfig
+singleSliceConfig(unsigned ways)
+{
+    return LlcConfig{Geometry{1, 64, ways}};
+}
+
 /** Address of block @p i in set @p set (single-slice geometry). */
 inline Addr
 addrOf(unsigned set, unsigned i)
