@@ -39,9 +39,8 @@ main()
 
                 // One full probe round over the combos the attacker
                 // must watch (without sequence information).
-                attack::FootprintConfig fcfg;
                 attack::FootprintScanner scanner(tb.hier(), tb.groups(),
-                                                 active, fcfg);
+                                                 active);
                 const auto samples = scanner.scan(
                     tb.eq(),
                     tb.eq().now() + secondsToCycles(0.002));

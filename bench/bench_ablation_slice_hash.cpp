@@ -40,8 +40,7 @@ footprintRecall(std::unique_ptr<cache::SliceHash> hash,
     std::vector<std::size_t> all;
     for (std::size_t c = 0; c < groups.groups.size(); ++c)
         all.push_back(c);
-    attack::FootprintScanner scanner(hier, groups, all,
-                                     attack::FootprintConfig{});
+    attack::FootprintScanner scanner(hier, groups, all);
     net::TrafficPump pump(
         eq, driver,
         std::make_unique<net::ConstantStream>(192, 200000.0, 0),

@@ -12,11 +12,13 @@
  * reallocations) while holding fingerprint accuracy under attack at
  * the always-on ring.partial:1000 level.
  *
- * Emits BENCH_detection.json (via sim::BenchReport). Threads default
- * to the machine; set PKTCHASE_THREADS to pin.
+ * Emits BENCH_detection.json (via sim::BenchReport) with every cell's
+ * metrics. Host timing of figD1 is perfbench's `detect` workload
+ * (perfbench/README.md).
+ *
+ * Threads default to the machine; set PKTCHASE_THREADS to pin.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -35,14 +37,10 @@ main()
                   "Detector ROC and the detector-gated defense: pay "
                   "for the defense only while under attack");
 
-    const auto t0 = std::chrono::steady_clock::now();
     auto grid = figD1DetectionGrid();
     const auto gating = figD2GatingGrid(100000.0, 8000);
     grid.insert(grid.end(), gating.begin(), gating.end());
     const auto results = runtime::sweep(grid);
-    const double elapsed = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
 
     std::printf("  figD1: detector quality (default thresholds)\n");
     std::printf("  %-36s %8s %8s %8s\n", "cell", "AUC", "TPR", "FPR");
@@ -81,11 +79,8 @@ main()
                     r.value("arm_transitions"));
     }
     bench::rule(84);
-    std::printf("  %zu cells in %.2f s host time\n", results.size(),
-                elapsed);
 
     sim::BenchReport report("detection");
-    report.scalar("elapsed_sec", elapsed);
     bench::addCells(report, results);
     if (!report.write())
         return 1;

@@ -38,10 +38,9 @@ main()
         sent.push_back(pattern[i % 3]);
 
     const auto buffers = pickMonitoredBuffers(tb, 1);
-    SpyConfig spy_cfg;
-    spy_cfg.probeRateHz = 16500; // one sample per 200k cycles (paper)
+    // 16.5 kHz: one sample per 200k cycles (paper).
     CovertSpy spy(tb.hier(), tb.groups(), buffers, Scheme::Ternary,
-                  spy_cfg);
+                  16500);
 
     auto trojan = std::make_unique<TrojanSource>(
         sent, Scheme::Ternary, tb.driver().ring().size(), 0.0);

@@ -26,8 +26,7 @@ main()
     std::vector<std::size_t> all;
     for (std::size_t c = 0; c < tb.groups().groups.size(); ++c)
         all.push_back(c);
-    attack::FootprintScanner scanner(tb.hier(), tb.groups(), all,
-                                     attack::FootprintConfig{});
+    attack::FootprintScanner scanner(tb.hier(), tb.groups(), all);
 
     const Cycles window = secondsToCycles(0.05);
 

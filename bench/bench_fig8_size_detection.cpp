@@ -33,9 +33,7 @@ main()
         auto combos = tb.activeCombos();
         if (combos.size() > 24)
             combos.resize(24);
-        attack::SizeDetectorConfig cfg;
-        cfg.probe.ways = tb.config().llc.geom.ways;
-        attack::SizeDetector det(tb.hier(), tb.groups(), combos, cfg);
+        attack::SizeDetector det(tb.hier(), tb.groups(), combos);
         net::TrafficPump pump(
             tb.eq(), tb.driver(),
             std::make_unique<net::ConstantStream>(

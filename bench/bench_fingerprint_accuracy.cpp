@@ -2,8 +2,12 @@
  * @file
  * The fig20 fingerprint grid as a paper-style table: closed-world
  * accuracy per defense cell and NIC queue count (paper Sec. V: 89.7%
- * with DDIO, 86.5% without, and ~chance once a real defense is on),
- * plus the simulated probe rounds that produced it.
+ * with DDIO, 86.5% without), plus the simulated probe rounds that
+ * produced it. Of the defense cells, only cache.adaptive drives
+ * accuracy to the 20% chance level. The ring defenses
+ * (ring.partial:1000, ring.full) read the same as ring.none: each
+ * trial's fresh testbed never recycles a ring slot, so they never
+ * act (ROADMAP item 1).
  *
  * Emits BENCH_fingerprint.json (via sim::BenchReport) with the same
  * per-cell metrics. Host timing of this grid is perfbench's `attack`
@@ -26,7 +30,8 @@ main()
     bench::banner("Fig. 20",
                   "Closed-world fingerprint accuracy x defense cell x "
                   "queue count (paper baseline: 89.7% DDIO / 86.5% "
-                  "no-DDIO; defenses push toward 20% chance)");
+                  "no-DDIO; cache.adaptive falls to 20% chance, the "
+                  "ring defenses are inert here: ROADMAP item 1)");
 
     const auto results = runtime::sweep(workload::fig20FingerprintGrid());
 

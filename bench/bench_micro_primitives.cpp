@@ -86,7 +86,7 @@ BM_ProbeRound(benchmark::State &state)
         sets.push_back(tb.groups().evictionSetFor(
             c, tb.config().llc.geom.ways));
     }
-    attack::PrimeProbeMonitor mon(tb.hier(), std::move(sets), 130);
+    attack::PrimeProbeMonitor mon(tb.hier(), std::move(sets));
     Cycles t = 0;
     mon.primeAll(t);
     for (auto _ : state) {

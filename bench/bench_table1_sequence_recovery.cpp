@@ -56,7 +56,6 @@ runTrial(std::uint64_t seed)
     attack::SequencerConfig cfg;
     cfg.nSamples = 100000;
     cfg.probeRateHz = 100000;
-    cfg.probe.ways = tb.config().llc.geom.ways;
     attack::Sequencer seq(tb.hier(), tb.groups(), active, cfg);
     const attack::SequencerResult result = seq.run(tb.eq());
 

@@ -62,10 +62,8 @@ main()
 
     // The spy picks a single-mapped buffer and watches blocks 1-3.
     const auto buffers = channel::pickMonitoredBuffers(tb, 1);
-    channel::SpyConfig spy_cfg;
-    spy_cfg.probeRateHz = 28000;
     channel::CovertSpy spy(tb.hier(), tb.groups(), buffers,
-                           Scheme::Binary, spy_cfg);
+                           Scheme::Binary, 28000);
 
     const std::size_t ring = tb.driver().ring().size();
     auto trojan = std::make_unique<channel::TrojanSource>(

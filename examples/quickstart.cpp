@@ -38,8 +38,7 @@ main()
     std::vector<std::size_t> all;
     for (std::size_t c = 0; c < groups.groups.size(); ++c)
         all.push_back(c);
-    attack::FootprintScanner scanner(tb.hier(), groups, all,
-                                     attack::FootprintConfig{});
+    attack::FootprintScanner scanner(tb.hier(), groups, all);
 
     // Idle window: no traffic.
     auto idle = scanner.scan(tb.eq(),

@@ -37,7 +37,6 @@ main()
     attack::SequencerConfig cfg;
     cfg.nSamples = 50000;
     cfg.probeRateHz = 100000;
-    cfg.probe.ways = tb.config().llc.geom.ways;
     attack::Sequencer seq(tb.hier(), tb.groups(), active, cfg);
     const attack::SequencerResult result = seq.run(tb.eq());
 

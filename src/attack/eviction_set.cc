@@ -71,17 +71,17 @@ EvictionSetBuilder::evictsOnce(const std::vector<Addr> &candidate,
     const Cycles lat = hier_.timedRead(target, vnow_);
     vnow_ += lat;
     ++timedLoads_;
-    return lat > cfg_.missThreshold;
+    return lat > kMissThreshold;
 }
 
 bool
 EvictionSetBuilder::evicts(const std::vector<Addr> &candidate, Addr target)
 {
     unsigned yes = 0;
-    for (unsigned v = 0; v < cfg_.conflictVotes; ++v)
+    for (unsigned v = 0; v < kConflictVotes; ++v)
         if (evictsOnce(candidate, target))
             ++yes;
-    return yes * 2 > cfg_.conflictVotes;
+    return yes * 2 > kConflictVotes;
 }
 
 std::vector<Addr>

@@ -28,13 +28,21 @@
 #include <cstdint>
 #include <vector>
 
-#include "attack/probe_params.hh"
 #include "cache/hierarchy.hh"
 #include "mem/address_space.hh"
 #include "sim/types.hh"
 
 namespace pktchase::attack
 {
+
+/**
+ * The spy's calibrated hit/miss latency cut (Sec. III-B: 130 cycles on
+ * the E5-2660). Every timed load of every attacker component -- the
+ * builder's conflict tests and every PRIME+PROBE walk -- is judged
+ * against it. Eviction sets are as wide as the LLC is associative;
+ * each component reads that from the hierarchy it probes.
+ */
+inline constexpr Cycles kMissThreshold = 130;
 
 /**
  * An eviction set: physical addresses that together cover every way of
@@ -76,9 +84,6 @@ struct ComboGroups
 struct BuilderConfig
 {
     std::size_t poolPages = 16384;   ///< Pages the spy maps (64 MB).
-    /** Latency cut between hit/miss (the shared calibration). */
-    Cycles missThreshold = ProbeParams::kMissThreshold;
-    unsigned conflictVotes = 3;      ///< Majority votes per timing test.
 };
 
 /**
@@ -87,10 +92,13 @@ struct BuilderConfig
 class EvictionSetBuilder
 {
   public:
+    /** Majority votes per timing test. */
+    static constexpr unsigned kConflictVotes = 3;
+
     /**
      * @param hier  The hierarchy timing oracle (the spy's loads).
      * @param space The spy's address space (pool allocation).
-     * @param cfg   Pool size and timing thresholds.
+     * @param cfg   Pool size.
      */
     EvictionSetBuilder(cache::Hierarchy &hier, mem::AddressSpace &space,
                        const BuilderConfig &cfg);
@@ -115,7 +123,7 @@ class EvictionSetBuilder
     /**
      * Timing test: does reading @p candidate evict the line at
      * @p target? (prime target, sweep candidate, timed reload).
-     * Majority vote over cfg.conflictVotes trials.
+     * Majority vote over kConflictVotes trials.
      */
     bool evicts(const std::vector<Addr> &candidate, Addr target);
 

@@ -24,10 +24,10 @@ makeSets(const ComboGroups &groups, const std::vector<std::size_t> &combos,
 FootprintScanner::FootprintScanner(cache::Hierarchy &hier,
                                    const ComboGroups &groups,
                                    std::vector<std::size_t> combos,
-                                   const FootprintConfig &cfg)
-    : hier_(hier), combos_(std::move(combos)), cfg_(cfg),
-      monitor_(hier, makeSets(groups, combos_, cfg.probe.ways),
-               cfg.probe.missThreshold)
+                                   double probe_rate_hz)
+    : combos_(std::move(combos)), probeRateHz_(probe_rate_hz),
+      monitor_(hier, makeSets(groups, combos_,
+                              hier.llc().geometry().ways))
 {
 }
 
@@ -35,7 +35,7 @@ std::vector<ProbeSample>
 FootprintScanner::scan(EventQueue &eq, Cycles horizon)
 {
     std::vector<ProbeSample> samples;
-    const Cycles interval = secondsToCycles(1.0 / cfg_.probeRateHz);
+    const Cycles interval = secondsToCycles(1.0 / probeRateHz_);
 
     monitor_.primeAll(eq.now());
 

@@ -16,21 +16,11 @@
 #include <vector>
 
 #include "attack/prime_probe.hh"
-#include "attack/probe_params.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
 
 namespace pktchase::attack
 {
-
-/** Scanner configuration. */
-struct FootprintConfig
-{
-    double probeRateHz = 8000;   ///< Full probe rounds per second.
-
-    /** Shared miss-threshold/ways calibration. */
-    ProbeParams probe;
-};
 
 /**
  * Probes a list of combos periodically and records activity rasters.
@@ -39,14 +29,15 @@ class FootprintScanner
 {
   public:
     /**
-     * @param hier   Timing oracle.
-     * @param groups Combo partition of the spy's pool.
-     * @param combos Which combos to monitor (typically all).
-     * @param cfg    Probe rate and threshold.
+     * @param hier          Timing oracle; eviction sets are as wide as
+     *                      its LLC is associative.
+     * @param groups        Combo partition of the spy's pool.
+     * @param combos        Which combos to monitor (typically all).
+     * @param probe_rate_hz Full probe rounds per second.
      */
     FootprintScanner(cache::Hierarchy &hier, const ComboGroups &groups,
                      std::vector<std::size_t> combos,
-                     const FootprintConfig &cfg);
+                     double probe_rate_hz = 8000);
 
     /**
      * Schedule probe rounds on @p eq from its current time until
@@ -90,9 +81,8 @@ class FootprintScanner
     const std::vector<std::size_t> &combos() const { return combos_; }
 
   private:
-    cache::Hierarchy &hier_;
     std::vector<std::size_t> combos_;
-    FootprintConfig cfg_;
+    double probeRateHz_;
     PrimeProbeMonitor monitor_;
 };
 

@@ -22,9 +22,8 @@ appendKeys(const cache::Llc &llc, const EvictionSet &set,
 } // namespace
 
 PrimeProbeMonitor::PrimeProbeMonitor(cache::Hierarchy &hier,
-                                     std::vector<EvictionSet> sets,
-                                     Cycles miss_threshold)
-    : hier_(hier), missThreshold_(miss_threshold)
+                                     std::vector<EvictionSet> sets)
+    : hier_(hier)
 {
     if (sets.empty())
         panic("PrimeProbeMonitor needs at least one eviction set");
@@ -48,7 +47,7 @@ PrimeProbeMonitor::primeAll(Cycles now)
     const obs::ScopedSpan span(kPrimePhase);
     unsigned misses = 0;
     const Cycles t = hier_.timedWalk(keys_.data(), keys_.size(), now,
-                                     missThreshold_, misses);
+                                     kMissThreshold, misses);
     timedLoads_ += keys_.size();
     return t - now;
 }
@@ -63,7 +62,7 @@ PrimeProbeMonitor::probeOne(std::size_t index, Cycles now,
     const std::size_t n = setStart_[index + 1] - begin;
     unsigned misses = 0;
     elapsed = hier_.timedWalk(keys_.data() + begin, n, now,
-                              missThreshold_, misses) - now;
+                              kMissThreshold, misses) - now;
     timedLoads_ += n;
     return misses;
 }
@@ -86,7 +85,7 @@ PrimeProbeMonitor::probeAll(Cycles now)
         unsigned misses = 0;
         t = hier_.timedWalk(keys_.data() + setStart_[i],
                             setStart_[i + 1] - setStart_[i], t,
-                            missThreshold_, misses);
+                            kMissThreshold, misses);
         sample_.active[i] = misses > 0 ? 1 : 0;
     }
     timedLoads_ += keys_.size();

@@ -39,13 +39,13 @@ class PrimeProbeMonitor
 {
   public:
     /**
-     * @param hier           Timing oracle.
-     * @param sets           Eviction sets to monitor (copied).
-     * @param miss_threshold Latency above which a read counts as a miss.
+     * A read slower than kMissThreshold counts as a miss.
+     *
+     * @param hier Timing oracle.
+     * @param sets Eviction sets to monitor (copied).
      */
     PrimeProbeMonitor(cache::Hierarchy &hier,
-                      std::vector<EvictionSet> sets,
-                      Cycles miss_threshold = 130);
+                      std::vector<EvictionSet> sets);
 
     /**
      * Prime all sets (initial fill) starting at @p now.
@@ -80,7 +80,6 @@ class PrimeProbeMonitor
 
   private:
     cache::Hierarchy &hier_;
-    Cycles missThreshold_;
     std::uint64_t timedLoads_ = 0;
 
     // Every monitored line as its LLC key (global set, tag), the sets

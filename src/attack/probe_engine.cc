@@ -53,9 +53,9 @@ ProbeEngine::addChaseStream(const ComboGroups &groups,
     for (std::size_t combo : combo_seq) {
         st->monitors.emplace_back(
             hier_,
-            slotSets(groups, combo, cfg_.probe.ways, cfg_.firstBlock,
-                     cfg_.sizeBlocks, cfg_.lowerHalfOnly),
-            cfg_.probe.missThreshold);
+            slotSets(groups, combo, hier_.llc().geometry().ways,
+                     cfg_.firstBlock, cfg_.sizeBlocks,
+                     cfg_.lowerHalfOnly));
     }
     st->accum.assign(st->monitors[0].size(), 0);
     streams_.push_back(std::move(st));
@@ -73,10 +73,8 @@ ProbeEngine::addSampleStream(
     auto st = std::make_unique<Stream>();
     st->chase = false;
     st->monitors.reserve(buffer_sets.size());
-    for (auto &sets : buffer_sets) {
-        st->monitors.emplace_back(hier_, std::move(sets),
-                                  cfg_.probe.missThreshold);
-    }
+    for (auto &sets : buffer_sets)
+        st->monitors.emplace_back(hier_, std::move(sets));
     streams_.push_back(std::move(st));
     return streams_.size() - 1;
 }
@@ -164,7 +162,7 @@ ProbeEngine::scheduleChase(EventQueue &eq, Stream &st, std::size_t id,
             st.lastActivity = eq.now();
             st.cursor = (st.cursor + 1) % st.monitors.size();
             std::fill(st.accum.begin(), st.accum.end(), 0);
-        } else if (eq.now() - st.lastActivity > cfg_.resyncTimeout) {
+        } else if (eq.now() - st.lastActivity > kResyncTimeout) {
             // Lost the ring position: park here until the ring wraps
             // and this buffer fills again.
             ++st.stats.outOfSyncEvents;

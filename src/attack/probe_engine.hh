@@ -43,7 +43,6 @@
 
 #include "attack/eviction_set.hh"
 #include "attack/prime_probe.hh"
-#include "attack/probe_params.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
 
@@ -90,11 +89,10 @@ class ProbeObserver
     virtual void onObservation(const ProbeObservation &obs) = 0;
 };
 
-/** Engine knobs; chase fields mirror the paper's chasing parameters. */
+/** Engine knobs: the chase stream's probe shape and cadence, and the
+ *  sample streams' rate. */
 struct ProbeEngineConfig
 {
-    ProbeParams probe;
-
     /** Blocks probed per half-page (4 -> size classes 1..4+). */
     unsigned sizeBlocks = 4;
 
@@ -117,14 +115,17 @@ struct ProbeEngineConfig
     /** Gap between consecutive per-buffer chase probes. */
     Cycles probeInterval = 4000;
 
-    /**
-     * Cycles without activity on a chase cursor's expected buffer
-     * before declaring out-of-sync and waiting for the ring to wrap.
-     */
-    Cycles resyncTimeout = 5'000'000;
-
     /** Probe rounds per second for sample streams. */
     double sampleRateHz = 14000;
+
+    /** The defaults, sampling at @p rate_hz (sample-only engines). */
+    static ProbeEngineConfig
+    sampling(double rate_hz)
+    {
+        ProbeEngineConfig cfg;
+        cfg.sampleRateHz = rate_hz;
+        return cfg;
+    }
 };
 
 /**
@@ -135,6 +136,13 @@ struct ProbeEngineConfig
 class ProbeEngine
 {
   public:
+    /**
+     * Cycles without activity on a chase cursor's expected buffer
+     * before declaring out-of-sync and waiting for the ring to wrap.
+     */
+    static constexpr Cycles kResyncTimeout = 5'000'000;
+
+    /** Eviction sets are as wide as @p hier's LLC is associative. */
     ProbeEngine(cache::Hierarchy &hier, const ProbeEngineConfig &cfg);
 
     ProbeEngine(const ProbeEngine &) = delete;

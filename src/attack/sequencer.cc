@@ -49,12 +49,12 @@ Sequencer::run(EventQueue &eq)
     SequencerResult result;
     const Cycles start = eq.now();
 
+    const unsigned ways = hier_.llc().geometry().ways;
     std::vector<EvictionSet> sets;
     sets.reserve(combos_.size());
     for (std::size_t c : combos_)
-        sets.push_back(groups_.evictionSetFor(c, cfg_.probe.ways));
-    PrimeProbeMonitor monitor(hier_, std::move(sets),
-                              cfg_.probe.missThreshold);
+        sets.push_back(groups_.evictionSetFor(c, ways));
+    PrimeProbeMonitor monitor(hier_, std::move(sets));
 
     // GET_CLEAN_SAMPLES: resample after swapping always-miss sets for
     // the second block of the same page (same combo group, offset 64).
@@ -65,31 +65,28 @@ Sequencer::run(EventQueue &eq)
         const std::vector<double> rates =
             FootprintScanner::activityRates(samples);
         for (std::size_t i = 0; i < rates.size(); ++i) {
-            if (rates[i] > cfg_.activityCutoff) {
+            if (rates[i] > kActivityCutoff) {
                 monitor.replaceSet(
-                    i, groups_.evictionSetFor(combos_[i], cfg_.probe.ways)
-                           .atBlock(1));
+                    i, groups_.evictionSetFor(combos_[i], ways).atBlock(1));
                 ++result.replacedSets;
                 replaced = true;
             }
         }
         result.samplesUsed += samples.size();
-        if (!replaced || attempt >= cfg_.cleanRetries)
+        if (!replaced || attempt >= kCleanRetries)
             break;
     }
 
-    result.sequence = sequenceFromSamples(
-        samples, combos_.size(), cfg_.weightCutoff);
+    result.sequence = sequenceFromSamples(samples, combos_.size());
     result.elapsed = eq.now() - start;
     return result;
 }
 
 std::vector<int>
 Sequencer::sequenceFromSamples(const std::vector<ProbeSample> &samples,
-                               std::size_t n_sets,
-                               std::uint64_t weight_cutoff)
+                               std::size_t n_sets)
 {
-    return makeSequence(buildGraph(samples, n_sets), weight_cutoff);
+    return makeSequence(buildGraph(samples, n_sets));
 }
 
 Sequencer::Graph
@@ -125,7 +122,7 @@ Sequencer::buildGraph(const std::vector<ProbeSample> &samples,
 }
 
 std::vector<int>
-Sequencer::makeSequence(Graph graph, std::uint64_t weight_cutoff)
+Sequencer::makeSequence(Graph graph)
 {
     if (graph.empty())
         return {};
@@ -155,7 +152,7 @@ Sequencer::makeSequence(Graph graph, std::uint64_t weight_cutoff)
     for (const auto &[cand, w] : graph[root])
         root_weight = std::max(root_weight, w);
     const std::uint64_t cutoff =
-        std::max<std::uint64_t>(weight_cutoff, root_weight / 4);
+        std::max<std::uint64_t>(kWeightCutoff, root_weight / 4);
 
     std::vector<int> sequence;
     EdgeKey state = root;

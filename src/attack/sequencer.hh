@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "attack/prime_probe.hh"
-#include "attack/probe_params.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
 
@@ -36,18 +35,6 @@ struct SequencerConfig
 {
     std::size_t nSamples = 100000;   ///< Probe rounds to collect.
     double probeRateHz = 8000;       ///< Rounds per second.
-
-    /** Shared miss-threshold/ways calibration. */
-    ProbeParams probe;
-
-    /** Fraction of active rounds above which a set is "always miss". */
-    double activityCutoff = 0.95;
-
-    /** Minimum edge weight followed by MAKE_SEQUENCE. */
-    std::uint64_t weightCutoff = 3;
-
-    /** Max GET_CLEAN_SAMPLES retries after replacing noisy sets. */
-    unsigned cleanRetries = 2;
 };
 
 /** Output of one sequencer run. */
@@ -69,8 +56,18 @@ struct SequencerResult
 class Sequencer
 {
   public:
+    /** Fraction of active rounds above which a set is "always miss". */
+    static constexpr double kActivityCutoff = 0.95;
+
+    /** Minimum edge weight followed by MAKE_SEQUENCE. */
+    static constexpr std::uint64_t kWeightCutoff = 3;
+
+    /** Max GET_CLEAN_SAMPLES retries after replacing noisy sets. */
+    static constexpr unsigned kCleanRetries = 2;
+
     /**
-     * @param hier   Timing oracle.
+     * @param hier   Timing oracle; eviction sets are as wide as its LLC
+     *               is associative.
      * @param groups Combo partition of the spy pool.
      * @param combos Monitored combos (<= 64 per the paper).
      * @param cfg    Sampling and graph parameters.
@@ -91,8 +88,7 @@ class Sequencer
      */
     static std::vector<int>
     sequenceFromSamples(const std::vector<ProbeSample> &samples,
-                        std::size_t n_sets,
-                        std::uint64_t weight_cutoff);
+                        std::size_t n_sets);
 
   private:
     /** Edge key: (prev, curr) node pair with one node of history. */
@@ -111,8 +107,7 @@ class Sequencer
     static Graph buildGraph(const std::vector<ProbeSample> &samples,
                             std::size_t n_sets);
 
-    static std::vector<int> makeSequence(Graph graph,
-                                         std::uint64_t weight_cutoff);
+    static std::vector<int> makeSequence(Graph graph);
 };
 
 /**

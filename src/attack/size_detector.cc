@@ -47,30 +47,19 @@ SizeClassifier::rates() const
 namespace
 {
 
-ProbeEngineConfig
-detectorEngineConfig(const SizeDetectorConfig &cfg)
-{
-    ProbeEngineConfig ecfg;
-    ecfg.probe = cfg.probe;
-    ecfg.sampleRateHz = cfg.probeRateHz;
-    return ecfg;
-}
-
 std::vector<std::vector<EvictionSet>>
 rowSets(const ComboGroups &groups,
-        const std::vector<std::size_t> &combos,
-        const SizeDetectorConfig &cfg)
+        const std::vector<std::size_t> &combos, unsigned ways)
 {
     if (combos.empty())
         panic("SizeDetector needs at least one combo");
     std::vector<std::vector<EvictionSet>> out;
-    out.reserve(cfg.rows);
-    for (unsigned row = 0; row < cfg.rows; ++row) {
+    out.reserve(SizeDetector::kRows);
+    for (unsigned row = 0; row < SizeDetector::kRows; ++row) {
         std::vector<EvictionSet> sets;
         sets.reserve(combos.size());
         for (std::size_t c : combos)
-            sets.push_back(
-                groups.evictionSetFor(c, cfg.probe.ways).atBlock(row));
+            sets.push_back(groups.evictionSetFor(c, ways).atBlock(row));
         out.push_back(std::move(sets));
     }
     return out;
@@ -81,11 +70,12 @@ rowSets(const ComboGroups &groups,
 SizeDetector::SizeDetector(cache::Hierarchy &hier,
                            const ComboGroups &groups,
                            std::vector<std::size_t> combos,
-                           const SizeDetectorConfig &cfg)
-    : engine_(hier, detectorEngineConfig(cfg)),
-      classifier_(cfg.rows, combos.size())
+                           double probe_rate_hz)
+    : engine_(hier, ProbeEngineConfig::sampling(probe_rate_hz)),
+      classifier_(kRows, combos.size())
 {
-    engine_.addSampleStream(rowSets(groups, combos, cfg));
+    engine_.addSampleStream(
+        rowSets(groups, combos, hier.llc().geometry().ways));
     engine_.attach(classifier_);
 }
 

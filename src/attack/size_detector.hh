@@ -27,16 +27,6 @@
 namespace pktchase::attack
 {
 
-/** Size-detector parameters. */
-struct SizeDetectorConfig
-{
-    unsigned rows = 4;            ///< Block rows 0..rows-1.
-    double probeRateHz = 8000;
-
-    /** Shared miss-threshold/ways calibration. */
-    ProbeParams probe;
-};
-
 /**
  * ProbeEngine observer that accumulates per-(row, combo) activity
  * counts from a sample stream whose monitors are block rows.
@@ -73,9 +63,19 @@ class SizeClassifier : public ProbeObserver
 class SizeDetector
 {
   public:
+    /** Block rows 0..kRows-1 are probed. */
+    static constexpr unsigned kRows = 4;
+
+    /**
+     * @param hier          Timing oracle; eviction sets are as wide as
+     *                      its LLC is associative.
+     * @param groups        Combo partition of the spy pool.
+     * @param combos        Monitored combos.
+     * @param probe_rate_hz Probe rounds per second.
+     */
     SizeDetector(cache::Hierarchy &hier, const ComboGroups &groups,
                  std::vector<std::size_t> combos,
-                 const SizeDetectorConfig &cfg);
+                 double probe_rate_hz = 8000);
 
     /**
      * Probe until @p horizon (traffic already scheduled on @p eq).

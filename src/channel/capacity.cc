@@ -168,10 +168,8 @@ runCovertChannel(testbed::Testbed &tb, const ChannelRunConfig &cfg)
 
     CacheNoise noise(tb, cfg.cacheNoiseHz, cfg.cacheNoiseBatch,
                      cfg.seed ^ 0x4E01u);
-    SpyConfig spy_cfg;
-    spy_cfg.probeRateHz = cfg.probeRateHz;
-    spy_cfg.probe.ways = tb.config().llc.geom.ways;
-    CovertSpy spy(tb.hier(), tb.groups(), buffers, cfg.scheme, spy_cfg);
+    CovertSpy spy(tb.hier(), tb.groups(), buffers, cfg.scheme,
+                  cfg.probeRateHz);
 
     noise.start(tb.eq(), horizon);
     const ListenResult listened = spy.listen(tb.eq(), horizon);
@@ -253,8 +251,7 @@ runChasingChannel(testbed::Testbed &tb, const ChasingChannelConfig &cfg)
                      cfg.seed ^ 0x9999u);
     noise.start(tb.eq(), horizon);
 
-    attack::ChasingConfig ch_cfg;
-    ch_cfg.probe.ways = tb.config().llc.geom.ways;
+    attack::ProbeEngineConfig ch_cfg;
     ch_cfg.probeInterval = std::max<Cycles>(
         500, secondsToCycles(1.0 / symbol_rate) / 4);
     // Sec. IV-b monitoring: three sets per buffer -- block 1 (the

@@ -17,10 +17,9 @@ ListenResult::symbols() const
     return out;
 }
 
-SpyDecoder::SpyDecoder(Scheme scheme, unsigned decode_window,
-                       std::size_t buffers, std::size_t stream)
-    : scheme_(scheme), decodeWindow_(decode_window), stream_(stream),
-      raw_(buffers)
+SpyDecoder::SpyDecoder(Scheme scheme, std::size_t buffers,
+                       std::size_t stream)
+    : scheme_(scheme), stream_(stream), raw_(buffers)
 {
 }
 
@@ -75,7 +74,7 @@ SpyDecoder::decodeBuffer(std::size_t buffer,
         }
         bool b2 = false, b3 = false;
         const std::size_t end =
-            std::min(samples.size(), i + decodeWindow_);
+            std::min(samples.size(), i + kDecodeWindow);
         std::size_t j = i;
         for (; j < end && samples[j].clock; ++j) {
             b2 |= samples[j].b2;
@@ -95,15 +94,6 @@ SpyDecoder::decodeBuffer(std::size_t buffer,
 
 namespace
 {
-
-attack::ProbeEngineConfig
-spyEngineConfig(const SpyConfig &cfg)
-{
-    attack::ProbeEngineConfig ecfg;
-    ecfg.probe = cfg.probe;
-    ecfg.sampleRateHz = cfg.probeRateHz;
-    return ecfg;
-}
 
 std::vector<std::vector<attack::EvictionSet>>
 spyBufferSets(const attack::ComboGroups &groups,
@@ -131,12 +121,12 @@ spyBufferSets(const attack::ComboGroups &groups,
 CovertSpy::CovertSpy(cache::Hierarchy &hier,
                      const attack::ComboGroups &groups,
                      std::vector<std::size_t> buffer_combos,
-                     Scheme scheme, const SpyConfig &cfg)
-    : engine_(hier, spyEngineConfig(cfg)),
-      decoder_(scheme, cfg.decodeWindow, buffer_combos.size())
+                     Scheme scheme, double probe_rate_hz)
+    : engine_(hier, attack::ProbeEngineConfig::sampling(probe_rate_hz)),
+      decoder_(scheme, buffer_combos.size())
 {
-    engine_.addSampleStream(
-        spyBufferSets(groups, buffer_combos, cfg.probe.ways));
+    engine_.addSampleStream(spyBufferSets(groups, buffer_combos,
+                                          hier.llc().geometry().ways));
     engine_.attach(decoder_);
 }
 

@@ -32,17 +32,6 @@
 namespace pktchase::channel
 {
 
-/** Spy sampling parameters. */
-struct SpyConfig
-{
-    double probeRateHz = 14000;  ///< Fig. 11 sweeps {7, 14, 28} kHz.
-
-    /** Shared miss-threshold/ways calibration. */
-    attack::ProbeParams probe;
-
-    unsigned decodeWindow = 3;   ///< Samples per decode window.
-};
-
 /** One decoded symbol with its detection time. */
 struct SymbolEvent
 {
@@ -68,14 +57,16 @@ struct ListenResult
 class SpyDecoder : public attack::ProbeObserver
 {
   public:
+    /** Samples ORed per decode window. */
+    static constexpr unsigned kDecodeWindow = 3;
+
     /**
-     * @param scheme        Expected alphabet.
-     * @param decode_window Samples ORed per symbol.
-     * @param buffers       Number of monitored buffers.
-     * @param stream        Engine stream id to listen to.
+     * @param scheme  Expected alphabet.
+     * @param buffers Number of monitored buffers.
+     * @param stream  Engine stream id to listen to.
      */
-    SpyDecoder(Scheme scheme, unsigned decode_window,
-               std::size_t buffers, std::size_t stream = 0);
+    SpyDecoder(Scheme scheme, std::size_t buffers,
+               std::size_t stream = 0);
 
     void onObservation(const attack::ProbeObservation &obs) override;
 
@@ -91,7 +82,6 @@ class SpyDecoder : public attack::ProbeObserver
     };
 
     Scheme scheme_;
-    unsigned decodeWindow_;
     std::size_t stream_;
     std::vector<std::vector<RawSample>> raw_;
     std::uint64_t rounds_ = 0;
@@ -109,16 +99,18 @@ class CovertSpy
 {
   public:
     /**
-     * @param hier          Timing oracle.
+     * @param hier          Timing oracle; eviction sets are as wide
+     *                      as its LLC is associative.
      * @param groups        Spy pool partition.
      * @param buffer_combos Combos of the monitored ring buffers (each
      *                      should host exactly one buffer).
      * @param scheme        Expected alphabet.
-     * @param cfg           Sampling parameters.
+     * @param probe_rate_hz Probe rounds per second (Fig. 11 sweeps
+     *                      {7, 14, 28} kHz).
      */
     CovertSpy(cache::Hierarchy &hier, const attack::ComboGroups &groups,
               std::vector<std::size_t> buffer_combos, Scheme scheme,
-              const SpyConfig &cfg);
+              double probe_rate_hz = 14000);
 
     /**
      * Sample until @p horizon (traffic pumps already scheduled on

@@ -315,10 +315,8 @@ fig7qFootprintGrid(std::uint64_t frames)
                 for (std::size_t c = 0; c < tb.groups().groups.size();
                      ++c)
                     all.push_back(c);
-                attack::FootprintConfig fcfg;
-                fcfg.probe.ways = cfg.llc.geom.ways; // reduced geometry
-                attack::FootprintScanner scanner(
-                    tb.hier(), tb.groups(), all, fcfg);
+                attack::FootprintScanner scanner(tb.hier(), tb.groups(),
+                                                 all);
                 const auto samples =
                     scanner.scan(tb.eq(), secondsToCycles(0.05));
                 const auto candidates =

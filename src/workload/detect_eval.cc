@@ -221,10 +221,8 @@ runDetectionAttack(const std::string &detector, double probe_rate_hz,
     std::vector<std::size_t> all;
     for (std::size_t c = 0; c < tb.groups().groups.size(); ++c)
         all.push_back(c);
-    attack::FootprintConfig fcfg;
-    fcfg.probeRateHz = probe_rate_hz;
-    fcfg.probe.ways = tb.config().llc.geom.ways;
-    attack::FootprintScanner scanner(tb.hier(), tb.groups(), all, fcfg);
+    attack::FootprintScanner scanner(tb.hier(), tb.groups(), all,
+                                     probe_rate_hz);
     tb.eq().runUntil(kAttackOnset);
     scanner.scan(tb.eq(), kDetectHorizon);
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for eviction-set construction: the oracle partition, the
- * timing-only conflict-testing algorithm, and their agreement.
+ * timing-only conflict-testing algorithm, and their agreement, and the
+ * set size the attacker components derive from the LLC geometry.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +10,10 @@
 #include <algorithm>
 #include <set>
 
+#include "attack/chasing.hh"
 #include "attack/eviction_set.hh"
+#include "attack/footprint.hh"
+#include "obs/stats.hh"
 #include "testbed/testbed.hh"
 
 using namespace pktchase;
@@ -162,6 +166,44 @@ TEST(EvictionSetTiming, ConflictTestingMatchesOracle)
         EXPECT_EQ(g, expect);
     }
     EXPECT_GT(b.timedLoads(), 0u);
+}
+
+TEST(EvictionSetSize, AttackerRoundsCostCombosTimesWays)
+{
+    // The components size every eviction set from the hierarchy's LLC
+    // associativity, so a prime or probe round over k sets costs
+    // k x ways LLC accesses: 8 ways on the reduced testbed, 20 on the
+    // full one. Only combos with more than 20 pages are monitored, so
+    // a set size that ignored the geometry would change the count.
+    for (const testbed::TestbedConfig &cfg :
+         {testbed::TestbedConfig::reduced(), testbed::TestbedConfig{}}) {
+        testbed::Testbed tb(cfg);
+        const std::size_t ways = cfg.llc.geom.ways;
+        std::vector<std::size_t> combos;
+        for (std::size_t c = 0;
+             c < tb.groups().groups.size() && combos.size() < 8; ++c) {
+            if (tb.groups().groups[c].size() > 20)
+                combos.push_back(c);
+        }
+        ASSERT_EQ(combos.size(), 8u);
+
+        // Scanning to the current cycle runs the prime and exactly one
+        // probe round, each over one set per combo.
+        FootprintScanner scanner(tb.hier(), tb.groups(), combos);
+        obs::StatSnapshot before = obs::snapshot();
+        EXPECT_EQ(scanner.scan(tb.eq(), tb.eq().now()).size(), 1u);
+        EXPECT_EQ((obs::snapshot() - before).get(obs::Stat::LlcAccesses),
+                  2 * combos.size() * ways);
+
+        // A chase primes 8 sets (block rows 0..3 of both half-pages)
+        // per ring slot, then probes the cursor slot's 8 sets once.
+        ChasingMonitor chaser(tb.hier(), tb.groups(), combos,
+                              ProbeEngineConfig{});
+        before = obs::snapshot();
+        EXPECT_EQ(chaser.chase(tb.eq(), tb.eq().now()).probes, 1u);
+        EXPECT_EQ((obs::snapshot() - before).get(obs::Stat::LlcAccesses),
+                  (combos.size() + 1) * 8 * ways);
+    }
 }
 
 TEST(EvictionSetDeath, OutOfRangeCombo)

@@ -34,7 +34,7 @@ struct Fixture : ::testing::Test
         for (std::size_t c : combos)
             sets.push_back(tb.groups().evictionSetFor(
                 c, tb.config().llc.geom.ways));
-        return PrimeProbeMonitor(tb.hier(), std::move(sets), 130);
+        return PrimeProbeMonitor(tb.hier(), std::move(sets));
     }
 };
 
@@ -199,7 +199,7 @@ TEST_F(Fixture, DeathOnTagTooWideForKeys)
     // when it derives the keys, not on some later read.
     const cache::Geometry &g = tb.config().llc.geom;
     const Addr wide = Addr{0xffffffffu} << (blockShift + g.indexBits());
-    EXPECT_DEATH(PrimeProbeMonitor(tb.hier(), {EvictionSet{{wide}}}, 130),
+    EXPECT_DEATH(PrimeProbeMonitor(tb.hier(), {EvictionSet{{wide}}}),
                  "32 or more bits");
     PrimeProbeMonitor mon = makeMonitor({0});
     EXPECT_DEATH(mon.replaceSet(0, EvictionSet{{0x1000, wide}}),

@@ -62,7 +62,7 @@ TEST(Sequencer, RecoversSimpleRing)
 {
     const std::vector<int> ring{0, 3, 1, 4, 2, 5};
     const auto samples = cleanStream(ring, 6, 20);
-    const auto seq = Sequencer::sequenceFromSamples(samples, 6, 3);
+    const auto seq = Sequencer::sequenceFromSamples(samples, 6);
     EXPECT_EQ(canonical(seq), canonical(ring));
 }
 
@@ -72,7 +72,7 @@ TEST(Sequencer, RecoversRingWithRepeatedSet)
     // Fig. 9 example).
     const std::vector<int> ring{0, 2, 3, 1, 2, 4};
     const auto samples = cleanStream(ring, 5, 30);
-    const auto seq = Sequencer::sequenceFromSamples(samples, 5, 3);
+    const auto seq = Sequencer::sequenceFromSamples(samples, 5);
     EXPECT_EQ(cyclicLevenshtein(seq, ring), 0u);
 }
 
@@ -96,7 +96,7 @@ TEST(Sequencer, MergesWidePeaks)
             }
         }
     }
-    const auto seq = Sequencer::sequenceFromSamples(samples, 4, 3);
+    const auto seq = Sequencer::sequenceFromSamples(samples, 4);
     EXPECT_EQ(canonical(seq), canonical(ring));
 }
 
@@ -110,7 +110,7 @@ TEST(Sequencer, ToleratesSporadicNoise)
         auto &s = samples[rng.nextBounded(samples.size())];
         s.active[rng.nextBounded(8)] ^= 1;
     }
-    const auto seq = Sequencer::sequenceFromSamples(samples, 8, 3);
+    const auto seq = Sequencer::sequenceFromSamples(samples, 8);
     // Small distance acceptable; total garbage is not.
     EXPECT_LE(cyclicLevenshtein(seq, ring), 2u);
 }
@@ -124,13 +124,13 @@ TEST(Sequencer, ToleratesMissedActivations)
     for (auto &s : samples)
         if (rng.nextBool(0.05))
             std::fill(s.active.begin(), s.active.end(), 0);
-    const auto seq = Sequencer::sequenceFromSamples(samples, 6, 3);
+    const auto seq = Sequencer::sequenceFromSamples(samples, 6);
     EXPECT_LE(cyclicLevenshtein(seq, ring), 1u);
 }
 
 TEST(Sequencer, EmptySamplesYieldEmptySequence)
 {
-    const auto seq = Sequencer::sequenceFromSamples({}, 4, 3);
+    const auto seq = Sequencer::sequenceFromSamples({}, 4);
     EXPECT_TRUE(seq.empty());
 }
 
@@ -148,7 +148,7 @@ TEST(Sequencer, PureNoiseYieldsShortSequence)
         s.active[rng.nextBounded(16)] = rng.nextBool(0.3);
         samples.push_back(std::move(s));
     }
-    const auto seq = Sequencer::sequenceFromSamples(samples, 16, 3);
+    const auto seq = Sequencer::sequenceFromSamples(samples, 16);
     EXPECT_LT(seq.size(), 200u);
 }
 
@@ -201,7 +201,6 @@ TEST(FullRingRecovery, PlacesNearlyAllCombosExactlyOnce)
     SequencerConfig cfg;
     cfg.nSamples = 12000;
     cfg.probeRateHz = 100000;
-    cfg.probe.ways = tb.config().llc.geom.ways;
     FullRingRecovery rec(tb.hier(), tb.groups(), active, cfg);
     const auto master = rec.recover(tb.eq());
 

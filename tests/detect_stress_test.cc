@@ -55,11 +55,8 @@ runGatedCell(const std::string &ring, std::size_t queues,
     std::vector<std::size_t> all;
     for (std::size_t c = 0; c < tb.groups().groups.size(); ++c)
         all.push_back(c);
-    attack::FootprintConfig fcfg;
-    fcfg.probeRateHz = 16000.0;
-    fcfg.probe.ways = cfg.llc.geom.ways;
     attack::FootprintScanner scanner(tb.hier(), tb.groups(), all,
-                                     fcfg);
+                                     16000.0);
     tb.eq().runUntil(kHorizon / 2);
     scanner.scan(tb.eq(), kHorizon);
 

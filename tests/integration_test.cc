@@ -35,8 +35,7 @@ allCombos(testbed::Testbed &tb)
 TEST(Integration, FootprintFindsExactlyTheBufferCombos)
 {
     testbed::Testbed tb(testbed::TestbedConfig{});
-    FootprintScanner scanner(tb.hier(), tb.groups(), allCombos(tb),
-                             FootprintConfig{});
+    FootprintScanner scanner(tb.hier(), tb.groups(), allCombos(tb));
     net::TrafficPump pump(
         tb.eq(), tb.driver(),
         std::make_unique<net::ConstantStream>(192, 200000.0, 0),
@@ -53,8 +52,7 @@ TEST(Integration, FootprintFindsExactlyTheBufferCombos)
 TEST(Integration, IdleSystemShowsNoFootprint)
 {
     testbed::Testbed tb(testbed::TestbedConfig{});
-    FootprintScanner scanner(tb.hier(), tb.groups(), allCombos(tb),
-                             FootprintConfig{});
+    FootprintScanner scanner(tb.hier(), tb.groups(), allCombos(tb));
     const auto samples =
         scanner.scan(tb.eq(), tb.eq().now() + secondsToCycles(0.02));
     const auto rates = FootprintScanner::activityRates(samples);
@@ -74,7 +72,6 @@ TEST(Integration, SequencerRecoversRingOrderAtTableIQuality)
     SequencerConfig cfg;
     cfg.nSamples = 40000;
     cfg.probeRateHz = 100000;
-    cfg.probe.ways = tb.config().llc.geom.ways;
     Sequencer seq(tb.hier(), tb.groups(), active, cfg);
     const SequencerResult result = seq.run(tb.eq());
 
@@ -105,9 +102,7 @@ TEST(Integration, SizeDetectorSeesDiagonalPattern)
         testbed::Testbed tb(testbed::TestbedConfig{});
         auto combos = tb.activeCombos();
         combos.resize(16);
-        SizeDetectorConfig cfg;
-        cfg.probe.ways = tb.config().llc.geom.ways;
-        SizeDetector det(tb.hier(), tb.groups(), combos, cfg);
+        SizeDetector det(tb.hier(), tb.groups(), combos);
         net::TrafficPump pump(
             tb.eq(), tb.driver(),
             std::make_unique<net::ConstantStream>(
@@ -143,8 +138,7 @@ TEST(Integration, ChasingObservesSizesInOrder)
         std::make_unique<net::ReplayStream>(frames, 50000.0),
         tb.eq().now() + 1000);
 
-    ChasingConfig cfg;
-    cfg.probe.ways = tb.config().llc.geom.ways;
+    ProbeEngineConfig cfg;
     cfg.probeInterval = 5000;
     ChasingMonitor chaser(tb.hier(), tb.groups(),
                           tb.ringComboSequence(), cfg);
@@ -177,8 +171,7 @@ TEST(Integration, AdaptivePartitionBlindsTheScanner)
     testbed::TestbedConfig tcfg;
     tcfg.cacheDefense = "cache.adaptive";
     testbed::Testbed tb(tcfg);
-    FootprintScanner scanner(tb.hier(), tb.groups(), allCombos(tb),
-                             FootprintConfig{});
+    FootprintScanner scanner(tb.hier(), tb.groups(), allCombos(tb));
     net::TrafficPump pump(
         tb.eq(), tb.driver(),
         std::make_unique<net::ConstantStream>(192, 200000.0, 0),
@@ -206,7 +199,6 @@ TEST(Integration, FullRandomizationDegradesSequenceRecovery)
     SequencerConfig cfg;
     cfg.nSamples = 20000;
     cfg.probeRateHz = 100000;
-    cfg.probe.ways = tb.config().llc.geom.ways;
     Sequencer seq(tb.hier(), tb.groups(), active, cfg);
     const SequencerResult result = seq.run(tb.eq());
 

@@ -402,11 +402,8 @@ TEST(NicBatch, CounterTotalsBatchedEqualsUnbatched)
             std::vector<std::size_t> all;
             for (std::size_t c = 0; c < tb.groups().groups.size(); ++c)
                 all.push_back(c);
-            attack::FootprintConfig fcfg;
-            fcfg.probeRateHz = 8000.0;
-            fcfg.probe.ways = tb.config().llc.geom.ways;
             attack::FootprintScanner scanner(tb.hier(), tb.groups(),
-                                             all, fcfg);
+                                             all, 8000.0);
             scanner.scan(tb.eq(), horizon);
         } else {
             tb.eq().runUntil(horizon);

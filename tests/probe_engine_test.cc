@@ -81,10 +81,8 @@ pumpSplitTraffic(testbed::Testbed &tb, Cycles horizon)
 std::unique_ptr<ProbeEngine>
 makeChaseEngine(testbed::Testbed &tb)
 {
-    ProbeEngineConfig ecfg;
-    ecfg.probe.ways = tb.config().llc.geom.ways;
-    ecfg.resyncTimeout = 2'000'000;
-    auto engine = std::make_unique<ProbeEngine>(tb.hier(), ecfg);
+    auto engine = std::make_unique<ProbeEngine>(tb.hier(),
+                                                ProbeEngineConfig{});
     for (auto &seq : tb.chaseSequences())
         engine->addChaseStream(tb.groups(), std::move(seq));
     return engine;
@@ -227,8 +225,7 @@ TEST(ProbeEngineMultiQueue, MultiCtorMatchesSingleCtorAtOneQueue)
             std::make_unique<net::ConstantStream>(
                 256, 40000.0, 150, nic::Protocol::Udp, 7),
             tb.eq().now() + 1000);
-        ChasingConfig cfg;
-        cfg.probe.ways = tb.config().llc.geom.ways;
+        const ProbeEngineConfig cfg;
         auto seqs = tb.chaseSequences();
         std::unique_ptr<ChasingMonitor> chaser;
         if (multi) {

@@ -147,11 +147,8 @@ TEST(ProbeGolden, SpySymbolStreamBitIdentical)
     net::TrafficPump pump(tb.eq(), tb.driver(), std::move(trojan),
                           start + 1000, 2000.0, 5);
 
-    channel::SpyConfig spy_cfg;
-    spy_cfg.probeRateHz = 14000;
-    spy_cfg.probe.ways = tb.config().llc.geom.ways;
     channel::CovertSpy spy(tb.hier(), tb.groups(), buffers,
-                           channel::Scheme::Ternary, spy_cfg);
+                           channel::Scheme::Ternary, 14000);
     const channel::ListenResult listened = spy.listen(tb.eq(), horizon);
 
     EXPECT_EQ(listened.rounds, kGoldenSpyRounds);
