@@ -69,9 +69,8 @@ rowSets(const ComboGroups &groups,
 
 SizeDetector::SizeDetector(cache::Hierarchy &hier,
                            const ComboGroups &groups,
-                           std::vector<std::size_t> combos,
-                           double probe_rate_hz)
-    : engine_(hier, ProbeEngineConfig::sampling(probe_rate_hz)),
+                           std::vector<std::size_t> combos)
+    : engine_(hier, ProbeEngineConfig::sampling(kProbeRateHz)),
       classifier_(kRows, combos.size())
 {
     engine_.addSampleStream(

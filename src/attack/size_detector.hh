@@ -66,16 +66,17 @@ class SizeDetector
     /** Block rows 0..kRows-1 are probed. */
     static constexpr unsigned kRows = 4;
 
+    /** Probe rounds per second. */
+    static constexpr double kProbeRateHz = 8000;
+
     /**
-     * @param hier          Timing oracle; eviction sets are as wide as
-     *                      its LLC is associative.
-     * @param groups        Combo partition of the spy pool.
-     * @param combos        Monitored combos.
-     * @param probe_rate_hz Probe rounds per second.
+     * @param hier   Timing oracle; eviction sets are as wide as its
+     *               LLC is associative.
+     * @param groups Combo partition of the spy pool.
+     * @param combos Monitored combos.
      */
     SizeDetector(cache::Hierarchy &hier, const ComboGroups &groups,
-                 std::vector<std::size_t> combos,
-                 double probe_rate_hz = 8000);
+                 std::vector<std::size_t> combos);
 
     /**
      * Probe until @p horizon (traffic already scheduled on @p eq).
