@@ -45,6 +45,13 @@ namespace pktchase::cache
 // floor(x). Anything else, and any B >= 1/4, takes the exact path.
 // sigma = 0 adds exactly zero noise and needs no transform at all.
 //
+// A noiseless hierarchy (sigma = 0 and outlierProb = 0) is the one
+// exception to "every read draws its noise": the noise then adds
+// exactly zero to every latency, so both timedRead and timedWalk skip
+// the generator and return max(base, 1), precomputed as
+// quietHit/quietMiss. The noise state is never read for anything but
+// latencies, so no result can tell the reads that were not drawn.
+//
 // timedWalk runs the same two steps, drawNoise then measure, in
 // chunks: it draws kWalkChunk reads' noise (pair uniforms, approximate
 // variates, outlier trials) ahead, then makes the chunk's LLC accesses
@@ -153,6 +160,9 @@ Hierarchy::Hierarchy(const LlcConfig &llc_cfg, const HierarchyConfig &cfg,
     lat_.band = sigma * 0x1p-21 + m * 0x1p-50;
     lat_.exact = !(lat_.band < 0.25);
     lat_.approx = lat_.sigma != 0.0 && !lat_.exact;
+    lat_.noiseless = lat_.sigma == 0.0 && lat_.outlierProb == 0.0;
+    lat_.quietHit = static_cast<Cycles>(std::max(lat_.hit, 1.0));
+    lat_.quietMiss = static_cast<Cycles>(std::max(lat_.miss, 1.0));
 }
 
 [[gnu::always_inline]] inline Hierarchy::NoiseDraw
@@ -223,6 +233,8 @@ Cycles
 Hierarchy::timedRead(Addr paddr, Cycles now)
 {
     const bool hit = llc_->cpuRead(paddr, now);
+    if (lat_.noiseless)
+        return hit ? lat_.quietHit : lat_.quietMiss;
     return measure(lat_, hit, drawNoise(noise_, lat_), noiseFallbacks_);
 }
 
@@ -230,6 +242,21 @@ Cycles
 Hierarchy::timedWalk(const LineKey *keys, std::size_t n, Cycles t,
                      Cycles threshold, unsigned &misses)
 {
+    if (lat_.noiseless) {
+        const Cycles hit_lat = lat_.quietHit;
+        const Cycles miss_lat = lat_.quietMiss;
+        unsigned over = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const Cycles lat = llc_->cpuReadAt(keys[i].gset, keys[i].tag, t)
+                ? hit_lat : miss_lat;
+            t += lat;
+            if (lat > threshold)
+                ++over;
+        }
+        misses += over;
+        return t;
+    }
+
     // Local copies: no LLC access below can reach them, so they stay
     // in registers across the accesses.
     const LatencyModel m = lat_;

@@ -70,6 +70,14 @@ class Hierarchy
 
     /**
      * Timed CPU read as the attacker measures it.
+     *
+     * Noise draws: every read draws its noise from the timer-noise
+     * generator, in read order, whether it hit or missed. The one
+     * exception is a noiseless hierarchy (timerNoiseSigma == 0 and
+     * outlierProb == 0): no draw could move a latency there, so reads
+     * return max(hit ? llcHitLatency : dramLatency, 1) and draw
+     * nothing.
+     *
      * @return The measured latency in cycles (includes noise).
      */
     Cycles timedRead(Addr paddr, Cycles now);
@@ -82,7 +90,7 @@ class Hierarchy
      * Llc::lineKey), the first at @p t and each next one when the
      * previous measurement ends. Read for read the same as timedRead
      * on the keys' addresses: the same latencies, cache state and
-     * noise draws.
+     * noise draws (none on a noiseless hierarchy).
      *
      * @param misses Incremented per read whose latency exceeds
      *               @p threshold.
@@ -142,6 +150,9 @@ class Hierarchy
         double band = 0.0;        ///< Bound on |approx - exact| latency.
         bool exact = false;       ///< Band too wide: always transform.
         bool approx = false;      ///< sigma != 0 and !exact.
+        bool noiseless = false;   ///< sigma == 0 and outlierProb == 0.
+        Cycles quietHit = 0;      ///< Noiseless hit latency.
+        Cycles quietMiss = 0;     ///< Noiseless miss latency.
     };
 
     // Timer noise. rng draws what rng.nextGaussian() followed by

@@ -158,13 +158,29 @@ Llc::cpuFill(std::size_t gset, std::uint32_t tag, bool dirty)
     if (partitioned_) {
         const unsigned cpu_quota =
             cfg_.geom.ways - policy_->ioCap(gset);
-        const WayMask cpu_mask = kindMask(gset, false);
-        const auto cpu_count =
-            static_cast<unsigned>(popcount64(cpu_mask));
+        // One pass over the set's flags and stamps counts its CPU
+        // lines and finds the least recently used one -- the victim
+        // lru_.victim would pick among them.
+        const std::uint8_t *meta = &meta_[lineIndex(gset, 0)];
+        const std::uint32_t *stamps = lru_.stampsOf(gset);
+        unsigned cpu_count = 0;
+        unsigned lru_cpu = 0;
+        std::uint32_t oldest = ~std::uint32_t(0);
+        for (unsigned w = 0; w < cfg_.geom.ways; ++w) {
+            if ((meta[w] & (kValid | kIo)) != kValid)
+                continue;
+            ++cpu_count;
+            if (stamps[w] < oldest) {
+                oldest = stamps[w];
+                lru_cpu = w;
+            }
+        }
         if (cpu_count >= cpu_quota) {
             // Partition full: displace another CPU line, never I/O.
-            way = static_cast<int>(lru_.victim(gset, cpu_mask));
-            evict(gset, static_cast<unsigned>(way), false);
+            if (cpu_count == 0)
+                panic("Llc::cpuFill: no CPU line to displace");
+            way = static_cast<int>(lru_cpu);
+            evict(gset, lru_cpu, false);
         } else {
             way = findInvalid(gset);
             if (way < 0) {

@@ -78,6 +78,18 @@ class LruPolicy
         return best_way;
     }
 
+    /**
+     * The stamps of @p set's ways, for a caller that picks a victim
+     * in a pass of its own: the least recently used way has the
+     * smallest stamp (0 == never used), and victim() takes the first
+     * of equal ones.
+     */
+    const std::uint32_t *
+    stampsOf(std::size_t set) const
+    {
+        return &stamps_[set * ways_];
+    }
+
     /** Make @p way of @p set the oldest (after an eviction). */
     void
     reset(std::size_t set, unsigned way)

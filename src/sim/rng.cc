@@ -28,18 +28,10 @@ Rng::Rng(std::uint64_t seed)
         word = splitmix64(s);
 }
 
-std::uint64_t
-Rng::nextBounded(std::uint64_t bound)
+void
+Rng::panicZeroBound()
 {
-    if (bound == 0)
-        panic("Rng::nextBounded called with bound == 0");
-    // Rejection sampling to remove modulo bias.
-    const std::uint64_t threshold = -bound % bound;
-    for (;;) {
-        std::uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
+    panic("Rng::nextBounded called with bound == 0");
 }
 
 std::int64_t

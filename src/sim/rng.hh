@@ -45,8 +45,23 @@ class Rng
         return result;
     }
 
-    /** Uniform integer in [0, bound); bound must be nonzero. */
-    std::uint64_t nextBounded(std::uint64_t bound);
+    /**
+     * Uniform integer in [0, bound); bound must be nonzero. Inline, so
+     * a constant power-of-two bound folds to a mask of next().
+     */
+    std::uint64_t
+    nextBounded(std::uint64_t bound)
+    {
+        if (bound == 0)
+            panicZeroBound();
+        // Rejection sampling to remove modulo bias.
+        const std::uint64_t threshold = -bound % bound;
+        for (;;) {
+            const std::uint64_t r = next();
+            if (r >= threshold)
+                return r % bound;
+        }
+    }
 
     /** Uniform integer in the closed interval [lo, hi]. */
     std::int64_t nextRange(std::int64_t lo, std::int64_t hi);
@@ -95,6 +110,8 @@ class Rng
     Rng split();
 
   private:
+    [[noreturn]] static void panicZeroBound();
+
     static std::uint64_t
     rotl(std::uint64_t x, int k)
     {

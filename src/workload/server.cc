@@ -22,6 +22,7 @@ ServerWorkload::ServerWorkload(testbed::Testbed &tb,
 {
     hotBase_ = appSpace_.mmap(cfg_.hotPages);
     respBase_ = appSpace_.mmap(respPages_);
+    readKeys_.resize(cfg_.readsPerRequest);
 }
 
 ServerWorkload::Snapshot
@@ -48,7 +49,8 @@ ServerWorkload::serveOne(Cycles now)
     // loads are untimed inside the model, so charge them here from the
     // stats delta: this is where DDIO pays off (header and payload
     // already in the LLC) and where the non-DDIO path stalls on DRAM.
-    const cache::LlcStats &llc = tb_.hier().llc().stats();
+    cache::Hierarchy &hier = tb_.hier();
+    const cache::LlcStats &llc = hier.llc().stats();
     const std::uint64_t drv_reads0 = llc.cpuReads + llc.cpuWrites;
     const std::uint64_t drv_miss0 =
         llc.cpuReadMisses + llc.cpuWriteMisses;
@@ -62,27 +64,31 @@ ServerWorkload::serveOne(Cycles now)
     const std::uint64_t drv_misses =
         llc.cpuReadMisses + llc.cpuWriteMisses - drv_miss0;
 
+    const Cycles hit_lat = hier.config().llcHitLatency;
+    const Cycles miss_lat = hier.config().dramLatency;
     Cycles t = now;
-    t += (drv_accesses - drv_misses) *
-        tb_.hier().config().llcHitLatency;
-    t += drv_misses * tb_.hier().config().dramLatency;
+    t += (drv_accesses - drv_misses) * hit_lat;
+    t += drv_misses * miss_lat;
 
-    // Application phase: object-store lookups (Zipf-hot) ...
-    for (unsigned i = 0; i < cfg_.readsPerRequest; ++i) {
+    // Application phase: object-store lookups (Zipf-hot), drawn ahead
+    // from rng_ -- which the cache never reads -- and issued as one
+    // back-to-back timed walk ...
+    for (cache::LineKey &key : readKeys_) {
         const Addr page = zipf_.draw(rng_);
         const Addr block = rng_.nextBounded(blocksPerPage);
         const Addr vaddr =
             hotBase_ + page * pageBytes + block * blockBytes;
-        t += tb_.hier().timedRead(appSpace_.translate(vaddr), t);
+        key = hier.llc().lineKey(appSpace_.translate(vaddr));
     }
+    unsigned slow_reads = 0;
+    t = hier.timedWalk(readKeys_.data(), readKeys_.size(), t,
+                       ~Cycles(0), slow_reads);
     // ... and response construction into a rotating buffer pool.
     for (unsigned i = 0; i < cfg_.writesPerRequest; ++i) {
         const Addr vaddr = respBase_ + respCursor_ * pageBytes +
             (i % blocksPerPage) * blockBytes;
-        const bool hit =
-            tb_.hier().cpuWrite(appSpace_.translate(vaddr), t);
-        t += hit ? tb_.hier().config().llcHitLatency
-                 : tb_.hier().config().dramLatency;
+        t += hier.cpuWrite(appSpace_.translate(vaddr), t) ? hit_lat
+                                                         : miss_lat;
     }
     respCursor_ = (respCursor_ + 1) % respPages_;
 
@@ -141,6 +147,7 @@ ServerWorkload::openLoop(double rate, std::size_t n, std::size_t warmup)
         fatal("ServerWorkload::openLoop needs a positive rate");
 
     LatencyResult result;
+    result.latenciesMs.reserve(n > warmup ? n - warmup : 0);
     Rng arrivals(cfg_.seed ^ 0x0A11u);
     Cycles arrival = tb_.eq().now();
     Cycles server_free = arrival;

@@ -117,6 +117,9 @@ class ServerWorkload
     static constexpr std::size_t respPages_ = 64;
     std::size_t respCursor_ = 0;
 
+    /** A request's object-store reads, as one timedWalk's keys. */
+    std::vector<cache::LineKey> readKeys_;
+
     /** Counter snapshot for miss/traffic accounting. */
     struct Snapshot
     {

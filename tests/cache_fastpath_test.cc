@@ -3,8 +3,9 @@
  * The memory model's fast paths against test-local copies of the code
  * they replaced: timedRead's libm-free noise rounding against the
  * Rng::nextGaussian + nextBool expression, timedWalk's keyed,
- * draw-ahead walk against per-address timedRead, and 32-bit LRU
- * stamps against 64-bit ones across the clock wrap.
+ * draw-ahead walk against per-address timedRead, the noiseless
+ * hierarchy's draw-free latencies, and 32-bit LRU stamps against
+ * 64-bit ones across the clock wrap.
  */
 
 #include <gtest/gtest.h>
@@ -87,13 +88,13 @@ class HashingTelemetry : public LlcTelemetry
 
 /** A 2-slice LLC small enough that the walks below conflict in it. */
 Hierarchy
-makeWalker(double sigma, bool adaptive)
+makeWalker(double sigma, bool adaptive, double outlier_prob)
 {
     LlcConfig llc;
     llc.geom = Geometry{2, 32, 4};
     HierarchyConfig cfg;
     cfg.timerNoiseSigma = sigma;
-    cfg.outlierProb = 0.01;
+    cfg.outlierProb = outlier_prob;
     cfg.seed = 23;
     std::unique_ptr<InjectionPolicy> policy;
     if (adaptive)
@@ -229,6 +230,7 @@ struct WalkCase
 {
     double sigma;
     bool adaptive;
+    double outlierProb = 0.01; ///< 0 with sigma 0: a noiseless walk.
 };
 
 class TimedWalkTwin : public ::testing::TestWithParam<WalkCase>
@@ -238,8 +240,8 @@ class TimedWalkTwin : public ::testing::TestWithParam<WalkCase>
 TEST_P(TimedWalkTwin, MatchesPerAddressTimedRead)
 {
     const WalkCase wc = GetParam();
-    Hierarchy reads = makeWalker(wc.sigma, wc.adaptive);
-    Hierarchy walks = makeWalker(wc.sigma, wc.adaptive);
+    Hierarchy reads = makeWalker(wc.sigma, wc.adaptive, wc.outlierProb);
+    Hierarchy walks = makeWalker(wc.sigma, wc.adaptive, wc.outlierProb);
     HashingTelemetry reads_telem;
     HashingTelemetry walks_telem;
     reads.llc().attachTelemetry(&reads_telem);
@@ -313,6 +315,65 @@ INSTANTIATE_TEST_SUITE_P(
                       WalkCase{64.0, false}, WalkCase{0x1p20, false},
                       WalkCase{0.0, true}, WalkCase{4.0, true},
                       WalkCase{64.0, true}, WalkCase{0x1p20, true}));
+
+// sigma = 0 and outlierProb = 0: both sides skip the noise generator.
+INSTANTIATE_TEST_SUITE_P(
+    Noiseless, TimedWalkTwin,
+    ::testing::Values(WalkCase{0.0, false, 0.0}, WalkCase{0.0, true, 0.0}));
+
+TEST(TimedRead, NoiselessReturnsBaseLatencyAndDrawsNothing)
+{
+    // A zero hit latency shows the clamp to 1 cycle.
+    for (const Cycles hit_lat : {Cycles{44}, Cycles{0}}) {
+        LlcConfig llc;
+        llc.geom = Geometry{1, 64, 4};
+        HierarchyConfig cfg;
+        cfg.llcHitLatency = hit_lat;
+        cfg.timerNoiseSigma = 0.0;
+        cfg.outlierProb = 0.0;
+        cfg.seed = 29;
+        Hierarchy h(llc, cfg, std::make_unique<IdentitySliceHash>(1, 0));
+        const Cycles want_hit = std::max<Cycles>(hit_lat, 1);
+        const Cycles want_miss = cfg.dramLatency;
+
+        Rng addrs(7);
+        Cycles t = 0;
+        unsigned hits = 0;
+        for (int i = 0; i < 20000; ++i) {
+            const Addr paddr = addrs.nextBounded(512) * blockBytes;
+            const bool hit = h.llc().contains(paddr);
+            hits += hit;
+            ASSERT_EQ(h.timedRead(paddr, t), hit ? want_hit : want_miss)
+                << "read " << i;
+            ++t;
+        }
+        EXPECT_GT(hits, 0u);
+        // Walks: each read costs exactly its hit or miss latency.
+        for (int round = 0; round < 200; ++round) {
+            std::vector<LineKey> keys(Hierarchy::kWalkChunk + 3);
+            for (LineKey &key : keys)
+                key = h.llc().lineKey(addrs.nextBounded(512) * blockBytes);
+            const LlcStats before = h.llc().stats();
+            unsigned misses = 0;
+            const Cycles end =
+                h.timedWalk(keys.data(), keys.size(), t, want_hit, misses);
+            const LlcStats &after = h.llc().stats();
+            const std::uint64_t walk_misses =
+                after.cpuReadMisses - before.cpuReadMisses;
+            ASSERT_EQ(after.cpuReads - before.cpuReads, keys.size());
+            ASSERT_EQ(misses, walk_misses) << "round " << round;
+            ASSERT_EQ(end - t, (keys.size() - walk_misses) * want_hit +
+                                   walk_misses * want_miss)
+                << "round " << round;
+            t = end;
+        }
+        EXPECT_EQ(h.noiseFallbacks(), 0u);
+        Rng seeded(cfg.seed);
+        Rng mine = h.noiseRng();
+        for (int i = 0; i < 4; ++i)
+            EXPECT_EQ(mine.next(), seeded.next());
+    }
+}
 
 TEST(Lru, VictimsMatchU64StampsAcrossClockWrap)
 {

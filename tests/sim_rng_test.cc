@@ -55,6 +55,56 @@ TEST(Rng, BoundedCoversAllResidues)
     EXPECT_EQ(seen.size(), 8u);
 }
 
+namespace
+{
+
+/** nextBounded's rejection formula, kept here as its reference. */
+std::uint64_t
+referenceBounded(Rng &rng, std::uint64_t bound)
+{
+    const std::uint64_t threshold = -bound % bound;
+    for (;;) {
+        const std::uint64_t r = rng.next();
+        if (r >= threshold)
+            return r % bound;
+    }
+}
+
+/**
+ * Draws from twin generators, @p rng through nextBounded(@p bound)
+ * and @p ref through the reference formula. Inlined with a literal
+ * bound, nextBounded folds its arithmetic to constants.
+ */
+[[gnu::always_inline]] inline void
+expectTwinDraws(Rng &rng, Rng &ref, std::uint64_t bound)
+{
+    for (int i = 0; i < 5000; ++i)
+        ASSERT_EQ(rng.nextBounded(bound), referenceBounded(ref, bound))
+            << "bound " << bound << " draw " << i;
+}
+
+} // namespace
+
+TEST(Rng, BoundedMatchesRejectionFormula)
+{
+    Rng rng(41), ref(41);
+    // Constant bounds: the folded forms (1 draws once and returns 0,
+    // powers of two mask).
+    expectTwinDraws(rng, ref, 1);
+    expectTwinDraws(rng, ref, 2);
+    expectTwinDraws(rng, ref, 64);
+    expectTwinDraws(rng, ref, 4096);
+    // Runtime bounds, through a volatile so nothing folds. 2^63 + 1
+    // rejects about half of all raw draws.
+    const volatile std::uint64_t runtime_bounds[] = {
+        3, 1000, (std::uint64_t(1) << 63) + 1};
+    for (const std::uint64_t bound : runtime_bounds)
+        expectTwinDraws(rng, ref, bound);
+    // Same draws, same count: the generators end in the same state.
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(rng.next(), ref.next());
+}
+
 TEST(Rng, RangeInclusiveBounds)
 {
     Rng rng(13);
