@@ -17,9 +17,11 @@
 #include "cache/hierarchy.hh"
 #include "cache/injection_policy.hh"
 #include "cache/replacement.hh"
+#include "llc_test_util.hh"
 
 using namespace pktchase;
 using namespace pktchase::cache;
+using llctest::HashingTelemetry;
 
 namespace
 {
@@ -48,43 +50,6 @@ referenceLatency(Rng &rng, const HierarchyConfig &cfg, bool hit)
     lat = std::max(lat, 1.0);
     return static_cast<Cycles>(lat);
 }
-
-/** Telemetry that folds every event, in order, into one hash. */
-class HashingTelemetry : public LlcTelemetry
-{
-  public:
-    void
-    cpuAccess(unsigned group, bool hit, Cycles now) override
-    {
-        mix(1, group, hit, now);
-    }
-
-    void
-    ioInjection(unsigned group, bool displaced_cpu_line,
-                Cycles now) override
-    {
-        mix(2, group, displaced_cpu_line, now);
-    }
-
-    void
-    ioLineConflict(unsigned group, Cycles now) override
-    {
-        mix(3, group, false, now);
-    }
-
-    std::uint64_t hash = 0;
-    std::uint64_t events = 0;
-
-  private:
-    void
-    mix(std::uint64_t kind, unsigned group, bool flag, Cycles now)
-    {
-        for (const std::uint64_t v :
-             {kind, std::uint64_t{group}, std::uint64_t{flag}, now})
-            hash = (hash ^ v) * 0x100000001B3ull;
-        ++events;
-    }
-};
 
 /** A 2-slice LLC small enough that the walks below conflict in it. */
 Hierarchy

@@ -1,7 +1,8 @@
 /**
  * @file
  * Helpers shared by the LLC unit tests, which all build a single-slice
- * 64-set geometry: set = (addr >> 6) & 63.
+ * 64-set geometry: set = (addr >> 6) & 63, and a telemetry probe that
+ * hashes every LLC event with its cycle.
  */
 
 #ifndef PKTCHASE_TESTS_LLC_TEST_UTIL_HH
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "cache/llc.hh"
+#include "cache/telemetry.hh"
 
 namespace pktchase::cache::llctest
 {
@@ -49,6 +51,43 @@ ioCountsMatchRescan(const Llc &llc, unsigned tags)
                 << " != rescan " << ref[g];
     return ::testing::AssertionSuccess();
 }
+
+/** Telemetry that folds every event, in order, into one hash. */
+class HashingTelemetry : public LlcTelemetry
+{
+  public:
+    void
+    cpuAccess(unsigned group, bool hit, Cycles now) override
+    {
+        mix(1, group, hit, now);
+    }
+
+    void
+    ioInjection(unsigned group, bool displaced_cpu_line,
+                Cycles now) override
+    {
+        mix(2, group, displaced_cpu_line, now);
+    }
+
+    void
+    ioLineConflict(unsigned group, Cycles now) override
+    {
+        mix(3, group, false, now);
+    }
+
+    std::uint64_t hash = 0;
+    std::uint64_t events = 0;
+
+  private:
+    void
+    mix(std::uint64_t kind, unsigned group, bool flag, Cycles now)
+    {
+        for (const std::uint64_t v :
+             {kind, std::uint64_t{group}, std::uint64_t{flag}, now})
+            hash = (hash ^ v) * 0x100000001B3ull;
+        ++events;
+    }
+};
 
 } // namespace pktchase::cache::llctest
 
